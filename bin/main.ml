@@ -411,7 +411,7 @@ let fuzz_cmd =
     | None ->
         let cfg =
           if smoke then
-            { cfg with Fuzz.runs = 400; seconds = None; persist = false }
+            { cfg with Fuzz.runs = 3000; seconds = None; persist = false }
           else cfg
         in
         let report = Fuzz.run cfg in
@@ -465,7 +465,8 @@ let fuzz_cmd =
       & info [ "smoke" ]
           ~doc:
             "CI mode: deterministically replay the committed corpus plus \
-             a short exploration burst (400 runs), never persisting.")
+             a fixed exploration burst (3000 runs in all), never \
+             persisting.")
   in
   let corpus_arg =
     Arg.(

@@ -359,6 +359,16 @@ let bracket_balance_stats flag check (s : Machine.Stats.t) terminated =
       (Printf.sprintf "brackets entered %d <> released %d"
          s.Machine.Stats.brackets_entered s.Machine.Stats.brackets_released)
 
+(* The strict clean-run checks compare the semantic layer's pick from an
+   exception set with the machine's one representative, and both are
+   legal whenever the machine's exception is a member of the set. So the
+   machine runs first, on a recorder of its own, and the exceptions it
+   caught script the semantic oracle ({!Oracle.replay}): the layers then
+   agree on every legal choice, and a machine exception outside the set
+   is reported as such. Its events are then copied to the shared
+   recorder, where they would have gone. *)
+let machine_recorder () = Obs.create ~capacity:8192 ~on:true ()
+
 let check_io ?cov v ~seed t =
   let w = Lang.Prelude.wrap t in
   let tr = Obs.create ~capacity:1024 ~on:true () in
@@ -367,15 +377,24 @@ let check_io ?cov v ~seed t =
   let dcfg = denot_config v in
   let mcfg = stg_config v in
   let ts = timing_sensitive t in
-  (* Clean runs, deterministic oracle: strict cross-layer agreement. *)
-  let sem =
-    Io.run ~config:dcfg ~oracle:(Oracle.first ()) ~trace:tr ~input:""
-      ~max_steps:v.io_max_steps w
-  in
+  (* Clean runs, the machine's choices replayed: strict cross-layer
+     agreement. *)
+  let mtr = machine_recorder () in
   let mio =
-    Machine_io.run ~config:mcfg ~trace:tr ~input:""
+    Machine_io.run ~config:mcfg ~trace:mtr ~input:""
       ~max_transitions:v.io_max_steps w
   in
+  let uncaught =
+    match mio.Machine_io.outcome with
+    | Machine_io.Uncaught e -> Some e
+    | _ -> None
+  in
+  let oracle = Oracle.replay ?uncaught mtr in
+  let sem =
+    Io.run ~config:dcfg ~oracle ~trace:tr ~input:""
+      ~max_steps:v.io_max_steps w
+  in
+  List.iter (Obs.record tr) (Obs.events mtr);
   let sem_out = Io.output_string_of sem in
   (if not ts then begin
      if not (is_prefix sem_out mio.Machine_io.output) then
@@ -393,7 +412,13 @@ let check_io ?cov v ~seed t =
      if not outcome_ok then
        flag "io-outcome"
          (Fmt.str "iosem %a, machine %a" Io.pp_outcome sem.Io.outcome
-            Machine_io.pp_outcome mio.Machine_io.outcome)
+            Machine_io.pp_outcome mio.Machine_io.outcome);
+     List.iter
+       (fun (x, s) ->
+         flag "io-exn-member"
+           (Fmt.str "machine raised %a, not a member of iosem's %a"
+              Lang.Exn.pp x Exn_set.pp s))
+       (Oracle.off_script oracle)
    end);
   let sem_terminated =
     match sem.Io.outcome with Io.Done _ | Io.Uncaught _ -> true | _ -> false
@@ -408,8 +433,8 @@ let check_io ?cov v ~seed t =
     mio_terminated;
   (* Concurrent layers run the same (single-threaded) program. *)
   let csem =
-    Conc.run ~config:dcfg ~oracle:(Oracle.first ()) ~trace:tr ~input:""
-      ~max_steps:v.io_max_steps w
+    Conc.run ~config:dcfg ~oracle:(Oracle.replay ?uncaught mtr) ~trace:tr
+      ~input:"" ~max_steps:v.io_max_steps w
   in
   (if not ts then
      let ok =
@@ -510,14 +535,25 @@ let check_conc ?cov v ~seed t =
   let dcfg = denot_config v in
   let mcfg = stg_config v in
   let ts = timing_sensitive t in
-  let csem =
-    Conc.run ~config:dcfg ~oracle:(Oracle.first ()) ~trace:tr ~input:""
-      ~max_steps:v.io_max_steps w
-  in
+  (* The machine's catches script the semantic oracle, as in
+     {!check_io}; its off-script picks are not flagged here, because a
+     forked thread that dies uncaught makes a semantic pick but records
+     no machine catch, so picks and catches need not pair up. *)
+  let mtr = machine_recorder () in
   let mconc =
-    Machine_conc.run ~config:mcfg ~trace:tr ~input:""
+    Machine_conc.run ~config:mcfg ~trace:mtr ~input:""
       ~max_transitions:v.io_max_steps w
   in
+  let uncaught =
+    match mconc.Machine_conc.outcome with
+    | Machine_conc.Uncaught e -> Some e
+    | _ -> None
+  in
+  let csem =
+    Conc.run ~config:dcfg ~oracle:(Oracle.replay ?uncaught mtr) ~trace:tr
+      ~input:"" ~max_steps:v.io_max_steps w
+  in
+  List.iter (Obs.record tr) (Obs.events mtr);
   (if not ts then begin
      let ok =
        match (csem.Conc.outcome, mconc.Machine_conc.outcome) with

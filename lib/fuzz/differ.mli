@@ -14,10 +14,16 @@
 
     IO and concurrent programs run through the four IO layers with a
     shared flight recorder, under a clean schedule (strict cross-layer
-    agreement, [Oracle.first]), a GC-every-3-transitions schedule
+    agreement), a GC-every-3-transitions schedule
     (collections must be transparent), and a seeded asynchronous
     schedule (invariants only: termination classes and bracket balance —
     delivery timing is layer-relative, so exact agreement is not owed).
+    On the clean schedule the semantic layers' oracle replays the
+    machine's caught exceptions ({!Semantics.Oracle.replay}): where an
+    exception set admits several members, the semantics takes the one the
+    machine raised, so strict agreement never compares two different
+    legal choices. A machine exception outside the semantic set is an
+    ["io-exn-member"] violation (single-threaded programs only).
     Programs containing [WithTimeout]/[Retry] are {e timing-sensitive}:
     the layers count ticks differently, so only the invariant checks
     apply to them.

@@ -95,6 +95,19 @@ let gen_mapper : expr G.t =
            (Lang.Exn.User_exception ("GenExnB", Some (Lang.Exn.P_int 1))));
     ]
 
+(* [G.frequency] over thunks: an alternative's generator is built only
+   when the draw picks it, so building a node costs one closure per
+   alternative plus the chosen path, not a tree of every alternative at
+   every depth below. Building a generator draws no randomness, so the
+   random stream, the choices and integrated shrinking are exactly those
+   of building every alternative up front; zero weights are dropped, as
+   they can never be drawn. *)
+let frequency (alts : (int * (unit -> 'a G.t)) list) : 'a G.t =
+  G.frequency
+    (List.filter_map
+       (fun (w, alt) -> if w > 0 then Some (w, G.delay alt) else None)
+       alts)
+
 let rec gen_ty cfg (env : env) depth ty : expr G.t =
   if depth <= 0 then gen_leaf cfg env ty
   else
@@ -140,20 +153,20 @@ and gen_leaf cfg env ty : expr G.t =
 
 and gen_int_node cfg env depth : expr G.t =
   let sub = gen_ty cfg env (depth - 1) in
-  let arith =
+  let arith () =
     G.oneofl [ Lang.Prim.Add; Lang.Prim.Sub; Lang.Prim.Mul ]
     |> fun gp -> G.bind gp (fun p ->
            G.map2 (fun a b -> Prim (p, [ a; b ])) (sub T_int) (sub T_int))
   in
-  let division =
+  let division () =
     G.oneofl [ Lang.Prim.Div; Lang.Prim.Mod ]
     |> fun gp -> G.bind gp (fun p ->
            G.map2 (fun a b -> Prim (p, [ a; b ])) (sub T_int) (sub T_int))
   in
-  let conditional =
+  let conditional () =
     G.map3 (fun c t f -> B.if_ c t f) (sub T_bool) (sub T_int) (sub T_int)
   in
-  let let_bound =
+  let let_bound () =
     let x = fresh_name () in
     G.map2
       (fun e1 e2 -> Let (x, e1, e2))
@@ -163,7 +176,7 @@ and gen_int_node cfg env depth : expr G.t =
   (* A binding used more than once: the call-by-need sharing that the
      machine's poison-replay (Section 3.3, footnote 3) must preserve —
      forcing the thunk a second time has to replay the same exception. *)
-  let shared_let =
+  let shared_let () =
     let x = fresh_name () in
     let ctxs =
       [
@@ -178,17 +191,17 @@ and gen_int_node cfg env depth : expr G.t =
     in
     G.map2 (fun body e -> Let (x, e, body)) (G.oneofl ctxs) (sub T_int)
   in
-  let beta_redex =
+  let beta_redex () =
     let x = fresh_name () in
     G.map2
       (fun body arg -> App (B.lam x body, arg))
       (gen_ty cfg ((x, T_int) :: env) (depth - 1) T_int)
       (sub T_int)
   in
-  let apply_fun =
+  let apply_fun () =
     G.map2 (fun f a -> App (f, a)) (sub T_fun_ii) (sub T_int)
   in
-  let seq_evaluate =
+  let seq_evaluate () =
     (* [seq (evaluate a) b]: as a value [evaluate a] is a WHNF
        constructor whatever [a] denotes, so this reaches the
        evaluate_is_seq_return law site in pure terms. *)
@@ -196,13 +209,13 @@ and gen_int_node cfg env depth : expr G.t =
       (fun a b -> B.seq (Con (c_evaluate, [ a ])) b)
       (sub T_int) (sub T_int)
   in
-  let seq_e =
+  let seq_e () =
     G.map2 (fun a b -> B.seq a b) (sub T_int) (sub T_int)
   in
-  let map_exc =
+  let map_exc () =
     G.map2 (fun f e -> B.map_exception f e) gen_mapper (sub T_int)
   in
-  let letrec_e =
+  let letrec_e () =
     let f = fresh_name () and n = fresh_name () in
     G.oneof
       [
@@ -224,7 +237,7 @@ and gen_int_node cfg env depth : expr G.t =
           (gen_leaf cfg env T_int) (G.int_range 0 6);
       ]
   in
-  let case_list =
+  let case_list () =
     let x = fresh_name () and xs = fresh_name () in
     G.map3
       (fun scrut nil_rhs cons_rhs ->
@@ -242,61 +255,60 @@ and gen_int_node cfg env depth : expr G.t =
     else
       [
         ( 2,
-          G.map (fun l -> App (Var "sum", l)) (sub T_list_int) );
+          fun () -> G.map (fun l -> App (Var "sum", l)) (sub T_list_int) );
         ( 2,
-          G.map (fun l -> App (Var "length", l)) (sub T_list_int) );
+          fun () -> G.map (fun l -> App (Var "length", l)) (sub T_list_int) );
         ( 1,
-          G.map2
-            (fun l n -> B.apps (Var "index") [ l; n ])
-            (sub T_list_int) (sub T_int) );
+          fun () ->
+            G.map2
+              (fun l n -> B.apps (Var "index") [ l; n ])
+              (sub T_list_int) (sub T_int) );
         ( 1,
-          G.map (fun l -> App (Var "head", l)) (sub T_list_int) );
+          fun () -> G.map (fun l -> App (Var "head", l)) (sub T_list_int) );
       ]
   in
-  let weighted =
-    [
-      (4, gen_leaf cfg env T_int);
-      (4, arith);
-      (cfg.div_weight, division);
-      (3, conditional);
-      (2, let_bound);
-      (cfg.sharing_weight, shared_let);
-      (2, beta_redex);
-      (2, apply_fun);
-      (1, seq_e);
-      (1, seq_evaluate);
-      (cfg.map_exception_weight, map_exc);
-      (cfg.letrec_weight, letrec_e);
-      (2, case_list);
-      (cfg.raise_weight, gen_exn_site);
-    ]
-    @ prelude_calls
-  in
-  G.frequency (List.filter (fun (w, _) -> w > 0) weighted)
+  frequency
+    ([
+       (4, fun () -> gen_leaf cfg env T_int);
+       (4, arith);
+       (cfg.div_weight, division);
+       (3, conditional);
+       (2, let_bound);
+       (cfg.sharing_weight, shared_let);
+       (2, beta_redex);
+       (2, apply_fun);
+       (1, seq_e);
+       (1, seq_evaluate);
+       (cfg.map_exception_weight, map_exc);
+       (cfg.letrec_weight, letrec_e);
+       (2, case_list);
+       (cfg.raise_weight, fun () -> gen_exn_site);
+     ]
+    @ prelude_calls)
 
 and gen_bool_node cfg env depth : expr G.t =
   let sub = gen_ty cfg env (depth - 1) in
-  let cmp =
+  let cmp () =
     G.oneofl
       [ Lang.Prim.Eq; Lang.Prim.Ne; Lang.Prim.Lt; Lang.Prim.Le ]
     |> fun gp -> G.bind gp (fun p ->
            G.map2 (fun a b -> Prim (p, [ a; b ])) (sub T_int) (sub T_int))
   in
-  let not_e = G.map (fun b -> B.if_ b B.false_ B.true_) (sub T_bool) in
+  let not_e () = G.map (fun b -> B.if_ b B.false_ B.true_) (sub T_bool) in
   let null_e =
     if cfg.use_prelude then
-      [ (1, G.map (fun l -> App (Var "null", l)) (sub T_list_int)) ]
+      [ (1, fun () -> G.map (fun l -> App (Var "null", l)) (sub T_list_int)) ]
     else []
   in
-  G.frequency
-    ([ (3, gen_leaf cfg env T_bool); (4, cmp); (1, not_e) ] @ null_e)
+  frequency
+    ([ (3, fun () -> gen_leaf cfg env T_bool); (4, cmp); (1, not_e) ] @ null_e)
 
 and gen_list_node cfg env depth : expr G.t =
   let sub = gen_ty cfg env (depth - 1) in
-  let cons_e =
+  let cons_e () =
     G.map2 (fun x xs -> B.cons x xs) (sub T_int) (sub T_list_int)
   in
-  let shared_cons =
+  let shared_cons () =
     (* The same element thunk in two list positions — deep forcing visits
        it twice, exercising update/replay on structured results. *)
     let x = fresh_name () in
@@ -304,29 +316,29 @@ and gen_list_node cfg env depth : expr G.t =
       (fun e tail -> Let (x, e, B.cons (Var x) (B.cons (Var x) tail)))
       (sub T_int) (sub T_list_int)
   in
-  let map_exc =
+  let map_exc () =
     G.map2 (fun f l -> B.map_exception f l) gen_mapper (sub T_list_int)
   in
-  let enum =
+  let enum () =
     G.map2
       (fun lo n -> B.apps (Var "enumFromTo") [ B.int lo; B.int (lo + n) ])
       (G.int_range (-5) 5) (G.int_range 0 8)
   in
-  let take_e =
+  let take_e () =
     G.map2
       (fun n l -> B.apps (Var "take") [ B.int n; l ])
       (G.int_range 0 6) (sub T_list_int)
   in
-  let map_e =
+  let map_e () =
     G.map2 (fun f l -> B.apps (Var "map") [ f; l ]) (sub T_fun_ii)
       (sub T_list_int)
   in
-  let append_e =
+  let append_e () =
     G.map2
       (fun a b -> B.apps (Var "append") [ a; b ])
       (sub T_list_int) (sub T_list_int)
   in
-  let take_iterate =
+  let take_iterate () =
     G.map3
       (fun n f x ->
         B.apps (Var "take") [ B.int n; B.apps (Var "iterate") [ f; x ] ])
@@ -337,9 +349,9 @@ and gen_list_node cfg env depth : expr G.t =
       [ (2, enum); (2, take_e); (2, map_e); (1, append_e); (1, take_iterate) ]
     else []
   in
-  G.frequency
+  frequency
     ([
-       (3, gen_leaf cfg env T_list_int);
+       (3, fun () -> gen_leaf cfg env T_list_int);
        (3, cons_e);
        (cfg.sharing_weight, shared_cons);
        (cfg.map_exception_weight, map_exc);
@@ -348,27 +360,27 @@ and gen_list_node cfg env depth : expr G.t =
 
 (* IO Int programs: a bind-chain of actions over the int generator. *)
 let rec gen_io_node cfg env depth : expr G.t =
-  let int_e = gen_ty cfg env (max 1 (depth - 1)) T_int in
-  let ret = G.map (fun e -> B.io_return e) int_e in
-  if depth <= 0 then ret
+  let int_e () = gen_ty cfg env (max 1 (depth - 1)) T_int in
+  let ret () = G.map (fun e -> B.io_return e) (int_e ()) in
+  if depth <= 0 then ret ()
   else
-    let bind_chain =
+    let sub_io ?(env = env) () = gen_io_node cfg env (depth - 1) in
+    let bind_chain () =
       let x = fresh_name () in
       G.map2
         (fun m k -> B.io_bind m (B.lam x k))
-        (gen_io_node cfg env (depth - 1))
-        (gen_io_node cfg ((x, T_int) :: env) (depth - 1))
+        (sub_io ())
+        (sub_io ~env:((x, T_int) :: env) ())
     in
-    let put_then =
+    let put_then () =
       G.map2
         (fun e rest ->
           B.io_bind
             (App (Var "putInt", e))
             (B.lam "_" rest))
-        int_e
-        (gen_io_node cfg env (depth - 1))
+        (int_e ()) (sub_io ())
     in
-    let catch_recover =
+    let catch_recover () =
       (* getException e >>= \r -> case r of OK v -> return v; Bad _ -> 0 *)
       let r = fresh_name () and v = fresh_name () in
       G.map
@@ -388,140 +400,144 @@ let rec gen_io_node cfg env depth : expr G.t =
                         rhs = B.io_return (B.int 0);
                       };
                     ] ))))
-        int_e
+        (int_e ())
     in
     let combinators =
       if not cfg.io_combinators then []
       else
-        let r = fresh_name () in
         [
           ( 1,
             (* Sequential channel roundtrip: buffered write then read,
                exercising the channel path of the single-threaded layers. *)
-            let c = fresh_name () and v = fresh_name () in
-            G.map2
-              (fun e rest ->
-                B.io_bind
-                  (Con ("NewChan", [ B.int 1 ]))
-                  (B.lam c
-                     (B.io_bind
-                        (Con ("WriteChan", [ Var c; e ]))
-                        (B.lam "_"
-                           (B.io_bind
-                              (Con ("ReadChan", [ Var c ]))
-                              (B.lam v
-                                 (B.io_bind
-                                    (App (Var "putInt", Var v))
-                                    (B.lam "_" rest))))))))
-              int_e
-              (gen_io_node cfg env (depth - 1)) );
+            fun () ->
+              let c = fresh_name () and v = fresh_name () in
+              G.map2
+                (fun e rest ->
+                  B.io_bind
+                    (Con ("NewChan", [ B.int 1 ]))
+                    (B.lam c
+                       (B.io_bind
+                          (Con ("WriteChan", [ Var c; e ]))
+                          (B.lam "_"
+                             (B.io_bind
+                                (Con ("ReadChan", [ Var c ]))
+                                (B.lam v
+                                   (B.io_bind
+                                      (App (Var "putInt", Var v))
+                                      (B.lam "_" rest))))))))
+                (int_e ()) (sub_io ()) );
           ( 1,
             (* A read on an empty channel is hopeless in a sequential
                driver: it must come back as a catchable
                BlockedIndefinitely in every layer. *)
-            let c = fresh_name () and rn = fresh_name () in
-            G.map
-              (fun e ->
-                B.io_bind
-                  (Con ("NewChan", [ B.int 1 ]))
-                  (B.lam c
-                     (B.io_bind
-                        (B.get_exception (Con ("ReadChan", [ Var c ])))
-                        (B.lam rn
-                           (B.case (Var rn)
-                              [
-                                (B.pcon "OK" [ "x" ], B.io_return (Var "x"));
-                                (B.pcon "Bad" [ "e" ], B.io_return e);
-                              ])))))
-              int_e );
+            fun () ->
+              let c = fresh_name () and rn = fresh_name () in
+              G.map
+                (fun e ->
+                  B.io_bind
+                    (Con ("NewChan", [ B.int 1 ]))
+                    (B.lam c
+                       (B.io_bind
+                          (B.get_exception (Con ("ReadChan", [ Var c ])))
+                          (B.lam rn
+                             (B.case (Var rn)
+                                [
+                                  (B.pcon "OK" [ "x" ], B.io_return (Var "x"));
+                                  (B.pcon "Bad" [ "e" ], B.io_return e);
+                                ])))))
+                (int_e ()) );
           ( 1,
             (* bracket: acquire returns a resource, release writes a
                marker, use continues the program — releases must balance
                acquires on every exit path. *)
-            G.map2
-              (fun a rest ->
-                B.io_bracket (B.io_return a)
-                  (B.lam r (App (Var "putInt", B.int 9)))
-                  (B.lam r rest))
-              int_e
-              (gen_io_node cfg ((r, T_int) :: env) (depth - 1)) );
+            fun () ->
+              let r = fresh_name () in
+              G.map2
+                (fun a rest ->
+                  B.io_bracket (B.io_return a)
+                    (B.lam r (App (Var "putInt", B.int 9)))
+                    (B.lam r rest))
+                (int_e ())
+                (sub_io ~env:((r, T_int) :: env) ()) );
+          (1, fun () -> G.map (fun m -> B.io_mask m) (sub_io ()));
           ( 1,
-            G.map (fun m -> B.io_mask m) (gen_io_node cfg env (depth - 1)) );
+            fun () ->
+              G.map2
+                (fun k m -> B.io_timeout (B.int k) m)
+                (G.int_range 1 24) (sub_io ()) );
           ( 1,
-            G.map2
-              (fun k m -> B.io_timeout (B.int k) m)
-              (G.int_range 1 24)
-              (gen_io_node cfg env (depth - 1)) );
-          ( 1,
-            G.map
-              (fun m ->
-                B.io_on_exception m (App (Var "putInt", B.int 8)))
-              (gen_io_node cfg env (depth - 1)) );
+            fun () ->
+              G.map
+                (fun m ->
+                  B.io_on_exception m (App (Var "putInt", B.int 8)))
+                (sub_io ()) );
           ( 1,
             (* evaluate: the argument is forced at the perform point,
                under the catch when one is present. *)
-            let rn = fresh_name () in
-            G.map
-              (fun e ->
-                B.io_bind
-                  (B.get_exception (Con (c_evaluate, [ e ])))
-                  (B.lam rn
-                     (B.case (Var rn)
-                        [
-                          (B.pcon "OK" [ "x" ], App (Var "putInt", Var "x"));
-                          (B.pcon "Bad" [ "_e" ],
-                           App (Var "putInt", B.int 0));
-                        ])))
-              int_e );
+            fun () ->
+              let rn = fresh_name () in
+              G.map
+                (fun e ->
+                  B.io_bind
+                    (B.get_exception (Con (c_evaluate, [ e ])))
+                    (B.lam rn
+                       (B.case (Var rn)
+                          [
+                            (B.pcon "OK" [ "x" ], App (Var "putInt", Var "x"));
+                            (B.pcon "Bad" [ "_e" ],
+                             App (Var "putInt", B.int 0));
+                          ])))
+                (int_e ()) );
           ( 1,
             (* Typed handler dispatch: an arithmetic handler first, the
                catch-all second, over an arbitrary body. *)
-            G.map
-              (fun m ->
-                B.apps (Var "catches")
-                  [
-                    m;
-                    B.list
-                      [
-                        B.apps (Var "handler")
-                          [
-                            Var "matchArith";
-                            B.lam "_e" (B.io_return (B.int 1));
-                          ];
-                        B.apps (Var "handler")
-                          [
-                            Var "matchAny";
-                            B.lam "_e" (B.io_return (B.int 2));
-                          ];
-                      ];
-                  ])
-              (gen_io_node cfg env (depth - 1)) );
+            fun () ->
+              G.map
+                (fun m ->
+                  B.apps (Var "catches")
+                    [
+                      m;
+                      B.list
+                        [
+                          B.apps (Var "handler")
+                            [
+                              Var "matchArith";
+                              B.lam "_e" (B.io_return (B.int 1));
+                            ];
+                          B.apps (Var "handler")
+                            [
+                              Var "matchAny";
+                              B.lam "_e" (B.io_return (B.int 2));
+                            ];
+                        ];
+                    ])
+                (sub_io ()) );
           ( 1,
             (* try: Either-shaped recovery, plus a declared-exception
                throw site under it. *)
-            let rn = fresh_name () in
-            G.map2
-              (fun e m ->
-                let body =
-                  B.io_bind m
-                    (B.lam "_"
-                       (App (Var "throwIO", Con ("GenExnB", [ e ]))))
-                in
-                B.io_bind
-                  (App (Var "try", body))
-                  (B.lam rn
-                     (B.case (Var rn)
-                        [
-                          (B.pcon "Left" [ "_e" ],
-                           App (Var "putInt", B.int 3));
-                          (B.pcon "Right" [ "x" ],
-                           App (Var "putInt", Var "x"));
-                        ])))
-              int_e
-              (gen_io_node cfg env (depth - 1)) );
+            fun () ->
+              let rn = fresh_name () in
+              G.map2
+                (fun e m ->
+                  let body =
+                    B.io_bind m
+                      (B.lam "_"
+                         (App (Var "throwIO", Con ("GenExnB", [ e ]))))
+                  in
+                  B.io_bind
+                    (App (Var "try", body))
+                    (B.lam rn
+                       (B.case (Var rn)
+                          [
+                            (B.pcon "Left" [ "_e" ],
+                             App (Var "putInt", B.int 3));
+                            (B.pcon "Right" [ "x" ],
+                             App (Var "putInt", Var "x"));
+                          ])))
+                (int_e ()) (sub_io ()) );
         ]
     in
-    G.frequency
+    frequency
       ([ (2, ret); (3, bind_chain); (3, put_then); (2, catch_recover) ]
       @ combinators)
 
@@ -529,8 +545,9 @@ let rec gen_io_node cfg env depth : expr G.t =
    structure is fixed (so they do not trivially deadlock) with generated
    payloads. *)
 let gen_conc_node cfg env depth : expr G.t =
-  let int_e = gen_ty cfg env (max 1 depth) T_int in
-  let handoff =
+  let int_e () = gen_ty cfg env (max 1 depth) T_int in
+  let sub_io () = gen_io_node cfg env (max 0 (depth - 1)) in
+  let handoff () =
     (* newEmptyMVar >>= \r -> forkIO (putMVar r e) >> (takeMVar r >>= putInt) *)
     let r = fresh_name () and v = fresh_name () in
     G.map
@@ -544,28 +561,26 @@ let gen_conc_node cfg env depth : expr G.t =
                    (B.io_bind
                       (Con ("TakeMVar", [ Var r ]))
                       (B.lam v (App (Var "putInt", Var v))))))))
-      int_e
+      (int_e ())
   in
-  let fork_fire_and_forget =
+  let fork_fire_and_forget () =
     G.map2
       (fun e rest ->
         B.io_bind
           (Con ("Fork", [ App (Var "putInt", e) ]))
           (B.lam "_" rest))
-      int_e
-      (gen_io_node cfg env (max 0 (depth - 1)))
+      (int_e ()) (sub_io ())
   in
-  let fork_exceptional =
+  let fork_exceptional () =
     (* The child dies of its own exception; the parent must survive. *)
     G.map2
       (fun e rest ->
         B.io_bind
           (Con ("Fork", [ B.io_return B.(e / int 0) ]))
           (B.lam "_" rest))
-      int_e
-      (gen_io_node cfg env (max 0 (depth - 1)))
+      (int_e ()) (sub_io ())
   in
-  let self_throw_caught =
+  let self_throw_caught () =
     (* getException (myThreadId >>= \t -> throwTo t ThreadKilled >> return e)
        — a self-send is synchronous, so both layers catch it as Bad. *)
     let tn = fresh_name () and rn = fresh_name () in
@@ -585,9 +600,9 @@ let gen_conc_node cfg env depth : expr G.t =
                   (B.pcon "OK" [ "x" ], App (Var "putInt", Var "x"));
                   (B.pcon "Bad" [ "e" ], App (Var "putInt", B.int 0));
                 ])))
-      int_e
+      (int_e ())
   in
-  let kill_child =
+  let kill_child () =
     (* The child hands its ThreadId to the parent, which kills it; the
        parent's continuation must survive the dead child. *)
     let r = fresh_name () and tn = fresh_name () in
@@ -616,10 +631,9 @@ let gen_conc_node cfg env depth : expr G.t =
                                ( "ThrowTo",
                                  [ Var tn; Con ("ThreadKilled", []) ] ))
                             (B.lam "_" rest))))))))
-      int_e
-      (gen_io_node cfg env (max 0 (depth - 1)))
+      (int_e ()) (sub_io ())
   in
-  let blocked_recover =
+  let blocked_recover () =
     (* Nobody ever puts: the blocked take must come back as a catchable
        BlockedIndefinitely, never a global deadlock. *)
     let r = fresh_name () and rn = fresh_name () in
@@ -636,9 +650,9 @@ let gen_conc_node cfg env depth : expr G.t =
                         (B.pcon "OK" [ "x" ], App (Var "putInt", Var "x"));
                         (B.pcon "Bad" [ "e" ], App (Var "putInt", e));
                       ])))))
-      int_e
+      (int_e ())
   in
-  let chan_handoff =
+  let chan_handoff () =
     (* newChan 1 >>= \c -> forkIO (writeChan c e) >> (readChan c >>= putInt) *)
     let c = fresh_name () and v = fresh_name () in
     G.map
@@ -652,9 +666,9 @@ let gen_conc_node cfg env depth : expr G.t =
                    (B.io_bind
                       (Con ("ReadChan", [ Var c ]))
                       (B.lam v (App (Var "putInt", Var v))))))))
-      int_e
+      (int_e ())
   in
-  let chan_fan_in =
+  let chan_fan_in () =
     (* Two producers into a buffer of one: the second writer blocks on the
        full buffer and is woken when the drain makes room, so the wake
        path and the deposit-on-wake path both run. *)
@@ -680,9 +694,9 @@ let gen_conc_node cfg env depth : expr G.t =
                                         (App (Var "putInt", Var v))
                                         (B.lam "_"
                                            (App (Var "putInt", Var w))))))))))))))
-      int_e int_e
+      (int_e ()) (int_e ())
   in
-  let chan_blocked_recover =
+  let chan_blocked_recover () =
     (* Nobody ever writes: the blocked read must come back as a catchable
        BlockedIndefinitely, like the MVar case above. *)
     let c = fresh_name () and rn = fresh_name () in
@@ -699,9 +713,9 @@ let gen_conc_node cfg env depth : expr G.t =
                         (B.pcon "OK" [ "x" ], App (Var "putInt", Var "x"));
                         (B.pcon "Bad" [ "e" ], App (Var "putInt", e));
                       ])))))
-      int_e
+      (int_e ())
   in
-  let supervised =
+  let supervised () =
     (* A two-child supervision tree under a chosen strategy: one healthy
        child and one that either also completes or storms. Any
        SupervisorLimit shed by the intensity window is absorbed, so the
@@ -727,9 +741,9 @@ let gen_conc_node cfg env depth : expr G.t =
               (B.apps (Var "catchIO")
                  [ sup; B.lam "_e" (B.io_return B.unit_) ])
               (B.lam "_" (App (Var "putInt", B.int 1))))
-          int_e G.bool)
+          (int_e ()) G.bool)
   in
-  G.frequency
+  frequency
     [
       (3, handoff);
       (2, fork_fire_and_forget);

@@ -14,7 +14,15 @@
     so QCheck2's integrated shrinking of the random choices genuinely
     reduces a failing term instead of regenerating an unrelated one; the
     structural {!shrink} below is the complementary explicit reducer used
-    by the fuzzer's minimiser. *)
+    by the fuzzer's minimiser.
+
+    Construction is linear in the chosen path: a node's alternatives are
+    thunks, and only the one the weighted draw picks is built, so the
+    cost of one term is proportional to its size rather than exponential
+    in [max_depth]. Building a generator draws no randomness, so a seed
+    yields the same term as building every alternative up front would,
+    up to the numbering of fresh binder names ([g<N>]); the
+    [test/gen_golden.txt] file pins that output. *)
 
 type ty = T_int | T_bool | T_list_int | T_fun_ii
     (** [T_fun_ii] = int → int. *)

@@ -227,7 +227,7 @@ let run ?(config = Denot.default_config) ?(oracle = Oracle.first ())
         match force f_thunk with
         | Ok_v (VFun f) -> f arg
         | Ok_v _ ->
-            Bad (Exn_set.singleton (Exn.Type_error "applied a non-function"))
+            Bad (Exn_set.singleton (Exn.Type_error "application of a non-function"))
         | Bad s -> Bad s)
   in
 

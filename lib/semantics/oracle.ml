@@ -1,9 +1,34 @@
-type t = { rng : int64 ref option (* None = deterministic-first policy *) }
+type t = {
+  rng : int64 ref option;  (** [None] = deterministic-first policy. *)
+  mutable script : Lang.Exn.t list;  (** Exceptions still to replay. *)
+  mutable off_script : (Lang.Exn.t * Exn_set.t) list;  (** Newest first. *)
+}
 
 let create ~seed =
-  { rng = Some (ref (Int64.of_int (seed lxor 0x2545F4914F6CDD1D))) }
+  {
+    rng = Some (ref (Int64.of_int (seed lxor 0x2545F4914F6CDD1D)));
+    script = [];
+    off_script = [];
+  }
 
-let first () = { rng = None }
+let first () = { rng = None; script = []; off_script = [] }
+
+let replay ?uncaught tr =
+  (* A recorder that overflowed has lost the head of the script, and a
+     misaligned script is worse than none. *)
+  if Obs.seen tr > Obs.capacity tr then first ()
+  else
+    let caught =
+      List.filter_map
+        (function Obs.Ev_catch (Some e) -> Some e | _ -> None)
+        (Obs.events tr)
+    in
+    let script =
+      List.filter Lang.Exn.is_synchronous (caught @ Option.to_list uncaught)
+    in
+    { (first ()) with script }
+
+let off_script o = List.rev o.off_script
 
 let next_bits o =
   match o.rng with
@@ -23,7 +48,7 @@ let pick o = function
   | [] -> None
   | xs -> Some (List.nth xs (int_below o (List.length xs)))
 
-let pick_exception o (s : Exn_set.t) =
+let pick_default o (s : Exn_set.t) =
   match s with
   | Exn_set.All -> (
       (* Section 5.3: getException applied to bottom is justified in
@@ -36,6 +61,19 @@ let pick_exception o (s : Exn_set.t) =
       match Exn_set.elements s with
       | Some [] | None -> Lang.Exn.Non_termination
       | Some es -> ( match pick o es with Some e -> e | None -> assert false))
+
+let pick_exception o (s : Exn_set.t) =
+  match o.script with
+  | x :: rest when Exn_set.mem x s ->
+      o.script <- rest;
+      x
+  | x :: _ ->
+      (* The head stays on the script: this pick may have no counterpart
+         in the replayed run (a thread that dies uncaught records no
+         catch), so consuming it could misalign every later pick. *)
+      o.off_script <- (x, s) :: o.off_script;
+      pick_default o s
+  | [] -> pick_default o s
 
 let diverge_on_non_termination o s =
   match o.rng with

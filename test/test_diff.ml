@@ -14,8 +14,42 @@ let machine_deep e =
 
 let denot_deep e = Denot.run_deep ~config:denot_config ~depth:24 e
 
+(* The fuzzer's minimised io-outcome witness. [putInt (raise X - 1)]
+   denotes [Bad All]: forcing the string in exception-finding mode
+   (Section 4.3) reaches the recursion inside [putList]. The
+   first-member oracle picks DivideByZero, which [matchArith] handles
+   (1); the machine raises the GenExnC it met first, which only
+   [matchAny] handles (2). Both are legal, so the strict check must not
+   compare the two choices. *)
+let io_outcome_witness =
+  {|NewChan 1 >>= (\c ->
+     catches
+       (putInt (raise (GenExnC "gen") - 1)
+        >>= (\_ ->
+               catches (Return (index Nil c))
+                 [handler matchArith (\_e -> Return 1),
+                  handler matchAny (\_e -> Return 2)]))
+       [handler matchArith (\_e -> Return 1),
+        handler matchAny (\_e -> Return 2)])|}
+
 let suite =
   [
+    tc "io differential follows the machine's legal exception choice"
+      (fun () ->
+        let prog = parse_raw io_outcome_witness in
+        let w = Prelude.wrap prog in
+        let result = function
+          | Io.Done (Value.DInt n) -> n
+          | o -> Alcotest.failf "iosem: %a" Io.pp_outcome o
+        in
+        Alcotest.(check int) "first-member oracle takes the arith handler" 1
+          (result (Io.run ~oracle:(Oracle.first ()) w).Io.outcome);
+        (match (Machine_io.run w).Machine_io.outcome with
+        | Machine_io.Done (Value.DInt 2) -> ()
+        | o -> Alcotest.failf "machine: %a" Machine_io.pp_outcome o);
+        let r = Differ.check_io Differ.default_vconfig ~seed:13118 prog in
+        Alcotest.(check (list string)) "no violations" []
+          (List.map (Fmt.str "%a" Differ.pp_violation) r.Differ.violations));
     qtest ~count:150 "machine refines denotation on int terms"
       (Gen.gen_int ())
       (fun e ->
@@ -88,9 +122,18 @@ let suite =
       (fun prog ->
         let w = Prelude.wrap prog in
         (* Generous budgets so fuel exhaustion cannot masquerade as a
-           semantic disagreement. *)
-        let sem = Io.run ~config:(Denot.with_fuel 100_000) w in
-        let mach = Machine_io.run ~config:machine_config w in
+           semantic disagreement. The machine runs first: the exceptions
+           it catches script the semantic driver's oracle, so both make
+           the same legal choice from every exception set, and a machine
+           exception outside the set is reported as off-script. *)
+        let tr = Obs.create ~capacity:8192 ~on:true () in
+        let mach = Machine_io.run ~config:machine_config ~trace:tr w in
+        let oracle =
+          match mach.Machine_io.outcome with
+          | Machine_io.Uncaught e -> Oracle.replay ~uncaught:e tr
+          | _ -> Oracle.replay tr
+        in
+        let sem = Io.run ~config:(Denot.with_fuel 100_000) ~oracle w in
         let output_ok =
           (* On uncaught/divergent runs the two drivers may cut the write
              trace at slightly different points; one trace must still be a
@@ -120,12 +163,16 @@ let suite =
           | Io.Stuck _, Machine_io.Stuck _ -> true
           | _ -> false
         in
-        if not (output_ok && outcome_ok) then
-          QCheck2.Test.fail_reportf "sem: %s out=%S@.mach: %s out=%S"
+        let off_script = Oracle.off_script oracle in
+        if not (output_ok && outcome_ok && off_script = []) then
+          QCheck2.Test.fail_reportf
+            "sem: %s out=%S@.mach: %s out=%S@.off-script: %a"
             (Fmt.str "%a" Io.pp_outcome sem.Io.outcome)
             (Io.output_string_of sem)
             (Fmt.str "%a" Machine_io.pp_outcome mach.Machine_io.outcome)
             mach.Machine_io.output
+            Fmt.(list ~sep:semi (pair ~sep:(any " not in ") Exn.pp Exn_set.pp))
+            off_script
         else true);
     qtest ~count:50 "rule rewrites preserve or refine denotations"
       (Gen.gen_int ())

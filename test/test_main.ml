@@ -1,9 +1,47 @@
+(* Wall time per suite, summed over its test cases; the five slowest
+   are printed to stderr at exit, so a drift in suite time shows in the
+   change that causes it. *)
+let suite_seconds : (string, float) Hashtbl.t = Hashtbl.create 64
+
+let timed ((suite, cases) : unit Alcotest.test) : unit Alcotest.test =
+  let add dt =
+    let prev = Option.value ~default:0. (Hashtbl.find_opt suite_seconds suite) in
+    Hashtbl.replace suite_seconds suite (prev +. dt)
+  in
+  ( suite,
+    List.map
+      (fun (name, speed, f) ->
+        ( name,
+          speed,
+          fun () ->
+            let t0 = Unix.gettimeofday () in
+            Fun.protect
+              ~finally:(fun () -> add (Unix.gettimeofday () -. t0))
+              f ))
+      cases )
+
+let report_slowest () =
+  let rows =
+    Hashtbl.fold (fun suite s acc -> (suite, s) :: acc) suite_seconds []
+    |> List.sort (fun (_, a) (_, b) -> Float.compare b a)
+  in
+  let total = List.fold_left (fun acc (_, s) -> acc +. s) 0. rows in
+  Printf.eprintf "slowest suites (of %.1f s over %d):\n" total
+    (List.length rows);
+  List.iteri
+    (fun i (suite, s) ->
+      if i < 5 then Printf.eprintf "  %-14s %7.2f s\n" suite s)
+    rows
+
 let () =
+  at_exit report_slowest;
   Alcotest.run "imprecise"
+  @@ List.map timed
     [
       ("lexer", Test_lexer.suite);
       ("parser", Test_parser.suite);
       ("pretty", Test_pretty.suite);
+      ("gen", Test_gen.suite);
       ("subst", Test_subst.suite);
       ("exn_set", Test_exn_set.suite);
       ("types", Test_types.suite);

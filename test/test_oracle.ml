@@ -7,6 +7,43 @@ let suite =
     tc "first oracle picks the head" (fun () ->
         let o = Oracle.first () in
         Alcotest.(check (option int)) "head" (Some 1) (Oracle.pick o [ 1; 2; 3 ]));
+    tc "replayed oracle follows the recorded catches, then first" (fun () ->
+        let tr = Obs.create ~capacity:8 ~on:true () in
+        List.iter (Obs.record tr)
+          [
+            Obs.Ev_catch (Some E.Overflow);
+            Obs.Ev_catch None;
+            Obs.Ev_catch (Some E.Blocked_indefinitely);
+            Obs.Ev_catch (Some (E.User_error "b"));
+          ];
+        let o = Oracle.replay ~uncaught:E.Divide_by_zero tr in
+        let set = Exn_set.of_list [ E.Divide_by_zero; E.Overflow ] in
+        let pick s = Oracle.pick_exception o s in
+        (* Asynchronous catches are raised without a pick, so the script
+           skips them; a scripted member is taken, a non-member stays. *)
+        Alcotest.(check bool) "scripted member" true (pick set = E.Overflow);
+        Alcotest.(check bool) "off-script falls back to first" true
+          (pick set = E.Divide_by_zero);
+        Alcotest.(check bool) "head kept for the next pick" true
+          (pick Exn_set.All = E.User_error "b");
+        Alcotest.(check bool) "then the uncaught exception" true
+          (pick set = E.Divide_by_zero);
+        Alcotest.(check bool) "script exhausted" true (pick set = E.Divide_by_zero);
+        Alcotest.(check int) "one off-script pick" 1
+          (List.length (Oracle.off_script o));
+        (match Oracle.off_script o with
+        | [ (x, s) ] ->
+            Alcotest.(check bool) "recorded with its set" true
+              (x = E.User_error "b" && Exn_set.equal s set)
+        | _ -> Alcotest.fail "off-script");
+        (* Overflow the recorder: the retained tail would script
+           UserError "b", but a script without its head is dropped. *)
+        for _ = 1 to 5 do
+          Obs.record tr (Obs.Ev_catch None)
+        done;
+        Alcotest.(check bool) "overflowed recorder gives first" true
+          (Oracle.pick_exception (Oracle.replay tr) Exn_set.All
+          = Oracle.pick_exception (Oracle.first ()) Exn_set.All));
     tc "pick on empty list is None" (fun () ->
         let o = Oracle.create ~seed:1 in
         Alcotest.(check (option int)) "none" None (Oracle.pick o []));
