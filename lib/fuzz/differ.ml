@@ -203,6 +203,10 @@ let finish ?(extra = []) tr note violations =
 
 let check_pure ?cov v t =
   let w = Lang.Prelude.wrap t in
+  (* The optimiser's laws are claimed for well-typed programs (C14). *)
+  let typed =
+    Result.is_ok (Types.Infer.infer (Types.Infer.with_prelude ()) t)
+  in
   let tr = Obs.create ~capacity:1024 ~on:true () in
   let violations = ref [] in
   let flag check detail = violations := { check; detail } :: !violations in
@@ -288,7 +292,7 @@ let check_pure ?cov v t =
               lvs)
      | wo, _report ->
          let dlo = Denot.run_deep ~config:(denot_config v) ~depth:v.depth wo in
-         if not (V.deep_leq dl dlo) then
+         if typed && not (V.deep_leq dl dlo) then
            flag "optimized-denot-leq"
              (Printf.sprintf "optimised term lost information: %s !⊑ %s"
                 (pd dl) (pd dlo));
@@ -343,7 +347,7 @@ let check_pure ?cov v t =
     tr "pure differential violation" !violations
 
 (* ------------------------------------------------------------------ *)
-(* IO programs: four layers + fault schedules                          *)
+(* IO programs: semantic vs machine IO + fault schedules               *)
 (* ------------------------------------------------------------------ *)
 
 let bracket_balance_io flag check (c : Io.counters) terminated =
@@ -431,44 +435,6 @@ let check_io ?cov v ~seed t =
   bracket_balance_io flag "iosem-bracket-balance" sem.Io.counters sem_terminated;
   bracket_balance_stats flag "machine-io-bracket-balance" mio.Machine_io.stats
     mio_terminated;
-  (* Concurrent layers run the same (single-threaded) program. *)
-  let csem =
-    Conc.run ~config:dcfg ~oracle:(Oracle.replay ?uncaught mtr) ~trace:tr
-      ~input:"" ~max_steps:v.io_max_steps w
-  in
-  (if not ts then
-     let ok =
-       match (sem.Io.outcome, csem.Conc.outcome) with
-       | Io.Done d1, Conc.Done d2 ->
-           contains_bottom d1 || contains_bottom d2 || V.deep_equal d1 d2
-       | Io.Uncaught _, Conc.Uncaught _ -> true
-       | Io.Io_diverged, _ | _, Conc.Diverged -> true
-       | Io.Stuck _, Conc.Stuck _ -> true
-       | _ -> false
-     in
-     if not ok then
-       flag "iosem-vs-conc"
-         (Fmt.str "iosem %a, conc %a" Io.pp_outcome sem.Io.outcome
-            Conc.pp_outcome csem.Conc.outcome));
-  let mconc =
-    Machine_conc.run ~config:mcfg ~trace:tr ~input:""
-      ~max_transitions:v.io_max_steps w
-  in
-  (if not ts then
-     let ok =
-       match (mio.Machine_io.outcome, mconc.Machine_conc.outcome) with
-       | Machine_io.Done d1, Machine_conc.Done d2 ->
-           contains_bottom d1 || contains_bottom d2 || agree_modulo_exn d1 d2
-       | Machine_io.Uncaught _, Machine_conc.Uncaught _ -> true
-       | Machine_io.Io_diverged, _ | _, Machine_conc.Diverged -> true
-       | Machine_io.Stuck _, Machine_conc.Stuck _ -> true
-       | _ -> false
-     in
-     if not ok then
-       flag "machine-io-vs-machine-conc"
-         (Fmt.str "machine io %a, machine conc %a" Machine_io.pp_outcome
-            mio.Machine_io.outcome Machine_conc.pp_outcome
-            mconc.Machine_conc.outcome));
   (* Fault schedule 1: GC every 3 transitions must be transparent. *)
   let mio_gc =
     Machine_io.run ~config:mcfg ~trace:tr ~input:""
@@ -516,9 +482,10 @@ let check_io ?cov v ~seed t =
     | Machine_io.Done _ | Machine_io.Uncaught _ -> true
     | _ -> false);
   note_cov cov tr
-    [ mio.Machine_io.stats; mio_gc.Machine_io.stats; mio_async.Machine_io.stats;
-      mconc.Machine_conc.stats ]
-    [ sem.Io.counters; csem.Conc.counters; sem_async.Io.counters ];
+    [
+      mio.Machine_io.stats; mio_gc.Machine_io.stats; mio_async.Machine_io.stats;
+    ]
+    [ sem.Io.counters; sem_async.Io.counters ];
   finish
     ~extra:[ ("program", Lang.Pretty.expr_to_string t) ]
     tr "io differential violation" !violations

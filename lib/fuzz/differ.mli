@@ -77,13 +77,19 @@ type result = {
 }
 
 val check_pure : ?cov:Coverage.t -> vconfig -> Lang.Syntax.expr -> result
-(** Cross-check one pure term (open over the Prelude). *)
+(** Cross-check one pure term (open over the Prelude). On a term the
+    type checker rejects, the one law-based check — that the optimiser
+    only gains information ([optimized-denot-leq]) — is skipped (C14's
+    typed-source assumption); every evaluator still runs on the term and
+    its optimised form. *)
 
 val check_io :
   ?cov:Coverage.t -> vconfig -> seed:int -> Lang.Syntax.expr -> result
-(** Cross-check one [IO Int] program across {!Semantics.Iosem},
-    {!Machine.Machine_io} and the two concurrent layers, plus the GC and
-    async fault schedules. [seed] drives the seeded-oracle fault run. *)
+(** Cross-check one [IO Int] program between {!Semantics.Iosem} and
+    {!Machine.Machine_io}, plus the GC and async fault schedules. [seed]
+    drives the seeded-oracle fault run. The concurrent layers are not
+    rerun: they are the same {!Semantics.Io_runtime} as these two, so
+    comparing them here would compare the runtime with itself. *)
 
 val check_conc :
   ?cov:Coverage.t -> vconfig -> seed:int -> Lang.Syntax.expr -> result

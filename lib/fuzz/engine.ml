@@ -464,9 +464,12 @@ let pp_report ppf r =
   let rules_checked =
     List.filter (fun (_, applied, _) -> applied > 0) (Metamorph.summary r.meta)
   in
-  Fmt.pf ppf "metamorphic oracles applied: %d (witnessed non-laws: %d)@."
+  Fmt.pf ppf
+    "metamorphic oracles applied: %d (witnessed non-laws: %d); law checks \
+     skipped on %d ill-typed terms@."
     (List.fold_left (fun acc (_, a, _) -> acc + a) 0 rules_checked)
-    (List.fold_left (fun acc (_, _, w) -> acc + w) 0 rules_checked);
+    (List.fold_left (fun acc (_, _, w) -> acc + w) 0 rules_checked)
+    (Metamorph.ill_typed r.meta);
   List.iter
     (fun o -> Fmt.pf ppf "UNWITNESSED non-law: %s@." o)
     (Metamorph.unwitnessed r.meta);

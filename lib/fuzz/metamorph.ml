@@ -11,16 +11,17 @@ module Strictness = Analysis.Strictness
 
 type tally = { mutable applied : int; mutable witnessed : int }
 
-type state = (string, tally) Hashtbl.t
+type state = { tallies : (string, tally) Hashtbl.t; mutable ill_typed : int }
 
-let create () : state = Hashtbl.create 64
+let create () = { tallies = Hashtbl.create 64; ill_typed = 0 }
+let ill_typed st = st.ill_typed
 
-let tally (st : state) name =
-  match Hashtbl.find_opt st name with
+let tally st name =
+  match Hashtbl.find_opt st.tallies name with
   | Some t -> t
   | None ->
       let t = { applied = 0; witnessed = 0 } in
-      Hashtbl.add st name t;
+      Hashtbl.add st.tallies name t;
       t
 
 type violation = {
@@ -49,7 +50,12 @@ let outcome_bottom = function
   | Fixed.Value d -> contains_bottom d
   | Fixed.Raised _ -> false
 
-let check_pure ?(config = Denot.default_config) ?(depth = 24) (st : state) t =
+let check_pure ?(config = Denot.default_config) ?(depth = 24) st t =
+  (* The laws are claimed for well-typed programs (C14). *)
+  let typed =
+    Result.is_ok (Types.Infer.infer (Types.Infer.with_prelude ()) t)
+  in
+  if not typed then st.ill_typed <- st.ill_typed + 1;
   let violations = ref [] in
   let flag oracle lhs rhs detail =
     violations := { oracle; lhs; rhs; detail } :: !violations
@@ -119,7 +125,7 @@ let check_pure ?(config = Denot.default_config) ?(depth = 24) (st : state) t =
                      Fixed.pp_outcome fo Fixed.pp_outcome fo')
           | Rules.Invalid ->
               if not feq then tf.witnessed <- tf.witnessed + 1))
-    Rules.all;
+    (if typed then Rules.all else []);
   (* --- seq-insert: strictness-driven [seq] is preserve-or-refine --- *)
   (let seq_site = function
      | Let (x, e1, body)
@@ -128,7 +134,7 @@ let check_pure ?(config = Denot.default_config) ?(depth = 24) (st : state) t =
          Some (Let (x, e1, B.seq (Var x) body))
      | _ -> None
    in
-   match Rewrite.first_site seq_site t with
+   match if typed then Rewrite.first_site seq_site t else None with
    | None -> ()
    | Some t' ->
        let ta = tally st "seq-insert" in
@@ -144,6 +150,23 @@ let check_pure ?(config = Denot.default_config) ?(depth = 24) (st : state) t =
            flag "seq-insert" t t'
              (Fmt.str "seq insertion observed %a: %a vs %a" Refine.pp_verdict
                 v V.pp_deep dl V.pp_deep dr));
+  (* --- strict-arg-eval: a raising function is strict, so its
+     argument may be evaluated first (Section 4.2) ------------------ *)
+  (let site = function
+     | App ((Raise _ as f), a) -> Some (B.seq a (App (f, a)))
+     | _ -> None
+   in
+   match if typed then Rewrite.first_site site t else None with
+   | None -> ()
+   | Some t' ->
+       let ta = tally st "strict-arg-eval" in
+       ta.applied <- ta.applied + 1;
+       let dr = run (wrap t') in
+       if not (contains_bottom dl || contains_bottom dr || V.deep_equal dl dr)
+       then
+         flag "strict-arg-eval" t t'
+           (Fmt.str "evaluating the argument first changed %a into %a"
+              V.pp_deep dl V.pp_deep dr));
   (* --- widen-plus: S⟦t + raise E⟧ = S⟦t⟧ ∪ {E} exactly ------------- *)
   (let exn = Lang.Exn.Assertion_failed "widen" in
    let expected =
@@ -182,7 +205,7 @@ let check_pure ?(config = Denot.default_config) ?(depth = 24) (st : state) t =
    ta.applied <- ta.applied + 1;
    match Transform.Pipeline.optimize Transform.Pipeline.Imprecise w with
    | opt, _report ->
-       if not (Lang.Syntax.equal opt w) then
+       if typed && not (Lang.Syntax.equal opt w) then
          let dr = run opt in
          if not (V.deep_leq dl dr) then
            flag "pipeline" t opt
@@ -195,18 +218,20 @@ let check_pure ?(config = Denot.default_config) ?(depth = 24) (st : state) t =
             lvs));
   List.rev !violations
 
-let summary (st : state) =
-  Hashtbl.fold (fun name t acc -> (name, t.applied, t.witnessed) :: acc) st []
+let summary st =
+  Hashtbl.fold
+    (fun name t acc -> (name, t.applied, t.witnessed) :: acc)
+    st.tallies []
   |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 
-let unwitnessed (st : state) =
+let unwitnessed st =
   List.concat_map
     (fun (r : Rules.rule) ->
       let check design claimed =
         if not (Rules.status_equal claimed Rules.Invalid) then []
         else
           let name = r.Rules.name ^ "@" ^ design in
-          match Hashtbl.find_opt st name with
+          match Hashtbl.find_opt st.tallies name with
           | Some t when t.witnessed > 0 -> []
           | _ -> [ name ]
       in

@@ -17,15 +17,27 @@
     The fixed-order claims are checked the same way under
     {!Semantics.Fixed.Left_to_right}.
 
-    On top of the rule catalogue, three synthetic oracles:
+    On top of the rule catalogue, four synthetic oracles:
 
     - {e seq-insert}: for [let x = e in body] with [body] demanded-strict
       in [x], inserting [seq x body] must preserve-or-refine;
+    - {e strict-arg-eval}: at the first application [(raise e) a],
+      [seq a ((raise e) a)] must denote exactly what [(raise e) a] does
+      — an exceptional function is strict, so evaluating its argument
+      first is the optimisation Section 4.2 keeps valid by unioning the
+      argument's exceptions into the application's;
     - {e widen-plus}: for a term denoting [DInt n] (resp. a finite
       exception set [s]), [t + raise E] must denote exactly [DBad {E}]
       (resp. [DBad (s ∪ {E})]) — the Section 4.2 [⊕] equation run in
       reverse;
     - {e roundtrip}: [parse (pretty t)] is alpha-equal to [t].
+
+    The laws are claimed for well-typed programs (C14's typed-source
+    assumption): on a term the type checker rejects, {!check_pure}
+    skips the rule catalogue, seq-insert, strict-arg-eval and the
+    pipeline oracle's information-gain check (its lint still runs) — an
+    ill-typed [case 1 of { True -> … }] makes [case_of_case] fail without
+    any fault in the law — and counts the term in {!ill_typed}.
 
     Terms whose evaluation bottoms out (fuel, black holes) are exempt
     from the equality obligations: at a finite approximation a bottomed
@@ -53,6 +65,9 @@ val check_pure :
   violation list
 (** Run every applicable oracle on one pure term (open over the
     Prelude); tallies applications and non-law witnesses in [state]. *)
+
+val ill_typed : state -> int
+(** Terms whose law-based oracles were skipped as ill-typed. *)
 
 val summary : state -> (string * int * int) list
 (** Per-oracle [(name, times applied, inequality witnesses)]. *)

@@ -1,6 +1,7 @@
 (** Concurrency on the abstract machine: the implementation counterpart of
-    {!Semantics.Conc} (the Section 4.4 closing remark realised twice, so
-    the two layers can be tested against each other).
+    {!Semantics.Conc} — the same scheduler over the machine instead of
+    the denotation, so the two evaluators can be tested against each
+    other.
 
     A round-robin scheduler over machine threads sharing one heap — so
     thunks forced by one thread are updated for all (call-by-need sharing
@@ -24,15 +25,19 @@
     under a positive mask depth, and a blocked writer's element enters
     the buffer only when the deposit succeeds.
 
-    The scheduler runs on the same indexed runtime as
-    {!Semantics.Conc} (bitmap run queue, tid hash table, intrusive
-    waiter FIFOs, incremental blocked-on edges) with the seed's exact
-    round-based schedule; [check_invariants] (default: set when
-    [IMPEXN_SCHED_DEBUG] is present) validates the indices every round
-    and raises {!Obs.Machine_invariant} with a flight-recorder dump on
-    violation. *)
+    It is not a second scheduler: {!Semantics.Conc} and this module are
+    the two instances of {!Semantics.Io_runtime} — one frame type, one
+    [pop]/[unwind], one round-robin loop over the indexed runtime (bitmap
+    run queue, tid hash table, intrusive waiter FIFOs, incremental
+    blocked-on edges) — here over the machine instance {!Stg_io}.
+    Running out of machine fuel inside a transition is divergence of the
+    program, and a caught [HeapOverflow] collects garbage from every
+    thread's roots before the next transition. [check_invariants]
+    (default: set when [IMPEXN_SCHED_DEBUG] is present) validates the
+    indices every round and raises {!Obs.Machine_invariant} with a
+    flight-recorder dump on violation. *)
 
-type outcome =
+type outcome = Semantics.Io_runtime.outcome =
   | Done of Semantics.Sem_value.deep  (** Main thread's result. *)
   | Uncaught of Lang.Exn.t
   | Deadlock

@@ -1,9 +1,8 @@
-module Exn = Lang.Exn
-module R = Lang.Resolve
+module R = Semantics.Io_runtime
 
 type outcome =
   | Done of Semantics.Sem_value.deep
-  | Uncaught of Exn.t
+  | Uncaught of Lang.Exn.t
   | Io_diverged
   | Stuck of string
 
@@ -16,443 +15,30 @@ type result = {
 
 let pp_outcome ppf = function
   | Done d -> Fmt.pf ppf "Done %a" Semantics.Sem_value.pp_deep d
-  | Uncaught e -> Fmt.pf ppf "Uncaught %a" Exn.pp e
+  | Uncaught e -> Fmt.pf ppf "Uncaught %a" Lang.Exn.pp e
   | Io_diverged -> Fmt.string ppf "Io_diverged"
   | Stuck msg -> Fmt.pf ppf "Stuck %S" msg
 
-(* The driver's continuation stack, mirroring {!Semantics.Iosem}'s frames
-   but over machine addresses. *)
-type frame =
-  | F_k of Stg.addr
-  | F_bracket of Stg.addr * Stg.addr  (** (release fn, use fn) *)
-  | F_release of Stg.addr  (** applied release action *)
-  | F_onexn of Stg.addr
-  | F_mask_pop
-  | F_unmask_pop
-  | F_timeout of int  (** deadline in IO transitions *)
-  | F_retry of Stg.addr * int * int
-  | F_rethrow of Exn.t
-  | F_restore of Stg.addr
-  | F_catch
-      (** [getException] on an IO action (GHC's [try]): a normal result
-          pops as [OK v], an unwinding exception stops here as [Bad e]. *)
-
-let frame_addrs (fs : frame list) : Stg.addr list =
-  List.concat_map
-    (function
-      | F_k a | F_release a | F_onexn a | F_restore a -> [ a ]
-      | F_bracket (a, b) -> [ a; b ]
-      | F_retry (a, _, _) -> [ a ]
-      | F_mask_pop | F_unmask_pop | F_timeout _ | F_rethrow _ | F_catch ->
-          [])
-    fs
-
-(* Rebuild the frames from addresses relocated by a collection, in the
-   same order [frame_addrs] emitted them. *)
-let relocate_frames (fs : frame list) (addrs : Stg.addr list) : frame list =
-  let rem = ref addrs in
-  let next () =
-    match !rem with
-    | a :: rest ->
-        rem := rest;
-        a
-    | [] -> assert false
-  in
-  List.map
-    (function
-      | F_k _ -> F_k (next ())
-      | F_release _ -> F_release (next ())
-      | F_onexn _ -> F_onexn (next ())
-      | F_restore _ -> F_restore (next ())
-      | F_bracket _ ->
-          let a = next () in
-          let b = next () in
-          F_bracket (a, b)
-      | F_retry (_, n, b) -> F_retry (next (), n, b)
-      | (F_mask_pop | F_unmask_pop | F_timeout _ | F_rethrow _ | F_catch)
-        as f ->
-          f)
-    fs
-
-type chan = { cap : int; buf : Stg.addr Queue.t }
-
 let run ?config ?trace ?(input = "") ?(async = [])
     ?(max_transitions = 100_000) ?gc_every e =
-  let m = Stg.create ?config ?trace () in
-  let tr = Stg.trace m in
-  List.iter (fun (k, x) -> Stg.inject_async m ~at_step:k x) async;
-  let buf = Buffer.create 64 in
-  let reads = ref 0 in
-  let stats = Stg.stats m in
-  let main_addr = Stg.alloc m e in
-  (* Bounded channels in the single-threaded driver (see
-     {!Semantics.Iosem}): a blocking operation is hopeless and receives
-     the catchable [Blocked_indefinitely] at once, mask or no mask. *)
-  let chans : (int, chan) Hashtbl.t = Hashtbl.create 8 in
-  let next_chan = ref 0 in
-  let as_chan_id v =
-    match v with
-    | Stg.MCon (c, [| idt |]) when c = R.t_chan_ref -> (
-        match Stg.force m idt with
-        | Ok (Stg.MInt id) -> Result.Ok id
-        | _ -> Result.Error "corrupt channel reference")
-    | _ -> Result.Error "not a channel"
+  let r, stats =
+    Stg_io.run ?config ?trace ~concurrent:false ~input ~async ~kills:[]
+      ~check_invariants:(R.debug_default ()) ~max_steps:max_transitions
+      ~gc_every e
   in
-  (* Heap housekeeping: the live addresses are the current action, the
-     frames' addresses and every element buffered in a channel; the
-     buffered elements are relocated in place. *)
-  let collect a stack =
-    let chan_list = Hashtbl.fold (fun _ ch acc -> ch :: acc) chans [] in
-    let chan_addrs =
-      List.concat_map (fun ch -> List.of_seq (Queue.to_seq ch.buf)) chan_list
-    in
-    let frame_roots = frame_addrs stack in
-    match Stg.gc m ~roots:((a :: frame_roots) @ chan_addrs) with
-    | a' :: rest ->
-        let rem = ref rest in
-        let next () =
-          match !rem with
-          | x :: r ->
-              rem := r;
-              x
-          | [] -> assert false
-        in
-        let frame_roots' = List.map (fun _ -> next ()) frame_roots in
-        List.iter
-          (fun ch ->
-            let len = Queue.length ch.buf in
-            Queue.clear ch.buf;
-            for _ = 1 to len do
-              Queue.push (next ()) ch.buf
-            done)
-          chan_list;
-        (a', relocate_frames stack frame_roots')
-    | [] -> assert false
+  let outcome =
+    match r.R.outcome with
+    | R.Done d -> Done d
+    | R.Uncaught x -> Uncaught x
+    | R.Diverged -> Io_diverged
+    | R.Stuck msg -> Stuck msg
+    | R.Deadlock -> Stuck "deadlock"
   in
-  let maybe_gc a stack n =
-    match gc_every with
-    | Some k when k > 0 && n > 0 && n mod k = 0 -> collect a stack
-    | _ -> (a, stack)
-  in
-  (* Recovery point for catchable resource exhaustion: a HeapOverflow just
-     surfaced at a getException, so collect from the driver's roots. This
-     both frees the abandoned allocations and re-arms the heap limit. *)
-  let emergency_gc a stack = collect a stack in
-  let ret_addr v_addr =
-    Stg.alloc_value m (Stg.MCon (R.t_return, [| v_addr |]))
-  in
-  let expired stack n =
-    Stg.mask_depth m = 0
-    && List.exists (function F_timeout d -> d <= n | _ -> false) stack
-  in
-  let restore_mask () = Stg.set_mask_depth m (Stg.mask_depth m + 1) in
-  let rec perform (a : Stg.addr) (stack : frame list) (n : int) : outcome =
-    if n >= max_transitions then Io_diverged
-    else if expired stack n then begin
-      stats.Stats.timeouts_fired <- stats.Stats.timeouts_fired + 1;
-      if Obs.on tr then Obs.record tr (Obs.Ev_io "timeout fired");
-      unwind Exn.Timeout stack n
-    end
-    else
-      let a, stack = maybe_gc a stack n in
-      match Stg.force m a with
-      | Error (Stg.Fail_exn exn) -> unwind exn stack n
-      | Error Stg.Fail_diverged -> Io_diverged
-      | Error (Stg.Fail_async _) ->
-          (* force (no catch) never delivers async events. *)
-          Stuck "async event outside getException"
-      | Ok (Stg.MCon (c, [| t |])) when c = R.t_return ->
-          pop t stack n
-      | Ok (Stg.MCon (c, [| m1; k |])) when c = R.t_bind ->
-          perform m1 (F_k k :: stack) (n + 1)
-      | Ok (Stg.MCon (c, [||])) when c = R.t_get_char ->
-          if !reads >= String.length input then Stuck "getChar: end of input"
-          else begin
-            let ch = input.[!reads] in
-            incr reads;
-            let ca = Stg.alloc_value m (Stg.MChar ch) in
-            perform (ret_addr ca) stack (n + 1)
-          end
-      | Ok (Stg.MCon (c, [| t |])) when c = R.t_put_char -> (
-          match Stg.force m t with
-          | Ok (Stg.MChar ch) ->
-              Buffer.add_char buf ch;
-              let ua = Stg.alloc_value m (Stg.MCon (R.t_unit, [||])) in
-              perform (ret_addr ua) stack (n + 1)
-          | Ok _ -> Stuck "putChar: not a character"
-          | Error (Stg.Fail_exn exn) -> unwind exn stack n
-          | Error Stg.Fail_diverged -> Io_diverged
-          | Error (Stg.Fail_async _) ->
-              Stuck "async event outside getException")
-      | Ok (Stg.MCon (c, [| t |])) when c = R.t_get_exception -> (
-          match Stg.force_catch m t with
-          | Ok (Stg.MCon (ca, _)) when R.is_io_action_tag ca ->
-              (* getException on an IO action: perform it under a catch
-                 frame (GHC's [try]); [t] is updated to its WHNF. *)
-              perform t (F_catch :: stack) (n + 1)
-          | Ok v ->
-              let va = Stg.alloc_value m v in
-              let ok = Stg.alloc_value m (Stg.MCon (R.t_ok, [| va |])) in
-              perform (ret_addr ok) stack (n + 1)
-          | Error (Stg.Fail_exn exn) | Error (Stg.Fail_async exn) ->
-              (* The exception was caught here: reify it as Bad. A caught
-                 HeapOverflow additionally triggers an emergency
-                 collection so the supervisor actually has room to
-                 recover. *)
-              let stack =
-                if exn = Exn.Heap_overflow then snd (emergency_gc t stack)
-                else stack
-              in
-              let ev = Stg.alloc_value m (Stg.exn_to_mvalue m exn) in
-              let bad = Stg.alloc_value m (Stg.MCon (R.t_bad, [| ev |])) in
-              perform (ret_addr bad) stack (n + 1)
-          | Error Stg.Fail_diverged -> Io_diverged)
-      | Ok (Stg.MCon (c, [| t |])) when c = R.t_evaluate -> (
-          (* evaluate e: the precise forcing point — the argument is
-             forced here, as the action is performed, so its exception
-             (if any) unwinds at exactly this point in the IO sequence. *)
-          match Stg.force m t with
-          | Ok v ->
-              let va = Stg.alloc_value m v in
-              perform (ret_addr va) stack (n + 1)
-          | Error (Stg.Fail_exn exn) -> unwind exn stack n
-          | Error Stg.Fail_diverged -> Io_diverged
-          | Error (Stg.Fail_async _) ->
-              Stuck "async event outside getException")
-      | Ok (Stg.MCon (c, [| acq; rel; use |])) when c = R.t_bracket ->
-          Stg.push_mask m;
-          perform acq (F_bracket (rel, use) :: stack) (n + 1)
-      | Ok (Stg.MCon (c, [| m1; h |])) when c = R.t_on_exception ->
-          perform m1 (F_onexn h :: stack) (n + 1)
-      | Ok (Stg.MCon (c, [| m1 |])) when c = R.t_mask ->
-          Stg.push_mask m;
-          perform m1 (F_mask_pop :: stack) (n + 1)
-      | Ok (Stg.MCon (c, [| m1 |])) when c = R.t_unmask ->
-          Stg.pop_mask m;
-          perform m1 (F_unmask_pop :: stack) (n + 1)
-      | Ok (Stg.MCon (c, [| nt; m1 |])) when c = R.t_timeout -> (
-          match Stg.force m nt with
-          | Ok (Stg.MInt k) ->
-              perform m1 (F_timeout (n + max 0 k) :: stack) (n + 1)
-          | Ok _ -> Stuck "timeout: budget is not an integer"
-          | Error (Stg.Fail_exn exn) -> unwind exn stack n
-          | Error Stg.Fail_diverged -> Io_diverged
-          | Error (Stg.Fail_async _) ->
-              Stuck "async event outside getException")
-      | Ok (Stg.MCon (c, [| nt; bt; m1 |])) when c = R.t_retry -> (
-          match (Stg.force m nt, Stg.force m bt) with
-          | Ok (Stg.MInt attempts), Ok (Stg.MInt backoff) ->
-              perform m1
-                (F_retry (m1, max 0 attempts, max 1 backoff) :: stack)
-                (n + 1)
-          | Error (Stg.Fail_exn exn), _ | _, Error (Stg.Fail_exn exn) ->
-              unwind exn stack n
-          | Error Stg.Fail_diverged, _ | _, Error Stg.Fail_diverged ->
-              Io_diverged
-          | _ -> Stuck "retry: attempts/backoff are not integers")
-      | Ok (Stg.MCon (c, [||])) when c = R.t_my_thread_id ->
-          (* The single-threaded driver is its own main thread 0. *)
-          let ida = Stg.alloc_value m (Stg.MInt 0) in
-          let tida =
-            Stg.alloc_value m (Stg.MCon (R.t_thread_id, [| ida |]))
-          in
-          perform (ret_addr tida) stack (n + 1)
-      | Ok (Stg.MCon (c, [| tt; et |])) when c = R.t_throw_to -> (
-          match Stg.force m tt with
-          | Ok (Stg.MCon (ct, [| nt |])) when ct = R.t_thread_id -> (
-              match Stg.force m nt with
-              | Ok (Stg.MInt tid) -> (
-                  match Stg.force m et with
-                  | Ok ev -> (
-                      match Stg.mvalue_to_exn m ev with
-                      | Ok x ->
-                          if tid = 0 then begin
-                            (* throwTo to oneself is synchronous (GHC):
-                               deliver regardless of masking. *)
-                            stats.Stats.throwtos_delivered <-
-                              stats.Stats.throwtos_delivered + 1;
-                            if Obs.on tr then begin
-                              Obs.record tr (Obs.Ev_throwto (0, 0, x));
-                              Obs.record tr (Obs.Ev_kill_delivered (0, x))
-                            end;
-                            unwind x stack n
-                          end
-                          else begin
-                            (* Dead or unknown target: a no-op send. *)
-                            let ua =
-                              Stg.alloc_value m (Stg.MCon (R.t_unit, [||]))
-                            in
-                            perform (ret_addr ua) stack (n + 1)
-                          end
-                      | Error (Stg.Exn_err x) -> unwind x stack n
-                      | Error Stg.Not_exn ->
-                          unwind
-                            (Exn.Type_error "throwTo: not an exception")
-                            stack n)
-                  | Error (Stg.Fail_exn exn) -> unwind exn stack n
-                  | Error Stg.Fail_diverged -> Io_diverged
-                  | Error (Stg.Fail_async _) ->
-                      Stuck "async event outside getException")
-              | Ok _ ->
-                  unwind (Exn.Type_error "throwTo: not a ThreadId") stack n
-              | Error (Stg.Fail_exn exn) -> unwind exn stack n
-              | Error Stg.Fail_diverged -> Io_diverged
-              | Error (Stg.Fail_async _) ->
-                  Stuck "async event outside getException")
-          | Ok _ ->
-              unwind (Exn.Type_error "throwTo: not a ThreadId") stack n
-          | Error (Stg.Fail_exn exn) -> unwind exn stack n
-          | Error Stg.Fail_diverged -> Io_diverged
-          | Error (Stg.Fail_async _) ->
-              Stuck "async event outside getException")
-      | Ok (Stg.MCon (c, [| nt |])) when c = R.t_new_chan -> (
-          match Stg.force m nt with
-          | Ok (Stg.MInt k) ->
-              let id = !next_chan in
-              incr next_chan;
-              Hashtbl.replace chans id
-                { cap = max 1 k; buf = Queue.create () };
-              let ida = Stg.alloc_value m (Stg.MInt id) in
-              let ra =
-                Stg.alloc_value m (Stg.MCon (R.t_chan_ref, [| ida |]))
-              in
-              perform (ret_addr ra) stack (n + 1)
-          | Ok _ -> Stuck "newChan: capacity is not an integer"
-          | Error (Stg.Fail_exn exn) -> unwind exn stack n
-          | Error Stg.Fail_diverged -> Io_diverged
-          | Error (Stg.Fail_async _) ->
-              Stuck "async event outside getException")
-      | Ok (Stg.MCon (c, [| r |])) when c = R.t_read_chan -> (
-          match Stg.force m r with
-          | Ok rv -> (
-              match as_chan_id rv with
-              | Result.Error msg ->
-                  unwind (Exn.Type_error msg) stack n
-              | Result.Ok id ->
-                  let ch = Hashtbl.find chans id in
-                  if Queue.is_empty ch.buf then blocked_forever stack n
-                  else perform (ret_addr (Queue.pop ch.buf)) stack (n + 1))
-          | Error (Stg.Fail_exn exn) -> unwind exn stack n
-          | Error Stg.Fail_diverged -> Io_diverged
-          | Error (Stg.Fail_async _) ->
-              Stuck "async event outside getException")
-      | Ok (Stg.MCon (c, [| r; v |])) when c = R.t_write_chan -> (
-          match Stg.force m r with
-          | Ok rv -> (
-              match as_chan_id rv with
-              | Result.Error msg ->
-                  unwind (Exn.Type_error msg) stack n
-              | Result.Ok id ->
-                  let ch = Hashtbl.find chans id in
-                  if Queue.length ch.buf >= ch.cap then
-                    blocked_forever stack n
-                  else begin
-                    Queue.push v ch.buf;
-                    let ua = Stg.alloc_value m (Stg.MCon (R.t_unit, [||])) in
-                    perform (ret_addr ua) stack (n + 1)
-                  end)
-          | Error (Stg.Fail_exn exn) -> unwind exn stack n
-          | Error Stg.Fail_diverged -> Io_diverged
-          | Error (Stg.Fail_async _) ->
-              Stuck "async event outside getException")
-      | Ok _ -> Stuck "not an IO value"
-  (* A channel operation that would block can never be woken here. *)
-  and blocked_forever (stack : frame list) (n : int) : outcome =
-    stats.Stats.blocked_recoveries <- stats.Stats.blocked_recoveries + 1;
-    if Obs.on tr then Obs.record tr (Obs.Ev_blocked_recover 0);
-    unwind Exn.Blocked_indefinitely stack n
-  and pop (v : Stg.addr) (stack : frame list) (n : int) : outcome =
-    match stack with
-    | [] -> Done (Stg.deep m v)
-    | F_k k :: rest -> (
-        match Stg.force m k with
-        | Ok (Stg.MClo _) -> perform (Stg.alloc_app m k v) rest (n + 1)
-        | Ok _ -> Stuck ">>=: continuation is not a function"
-        | Error (Stg.Fail_exn exn) -> unwind exn rest n
-        | Error Stg.Fail_diverged -> Io_diverged
-        | Error (Stg.Fail_async _) ->
-            Stuck "async event outside getException")
-    | F_bracket (rel, use) :: rest ->
-        stats.Stats.brackets_entered <- stats.Stats.brackets_entered + 1;
-        if Obs.on tr then Obs.record tr Obs.Ev_acquire;
-        Stg.pop_mask m;
-        perform (Stg.alloc_app m use v)
-          (F_release (Stg.alloc_app m rel v) :: rest)
-          (n + 1)
-    | F_release r :: rest ->
-        stats.Stats.brackets_released <- stats.Stats.brackets_released + 1;
-        if Obs.on tr then Obs.record tr Obs.Ev_release;
-        Stg.push_mask m;
-        perform r (F_mask_pop :: F_restore v :: rest) (n + 1)
-    | F_onexn _ :: rest -> pop v rest n
-    | F_mask_pop :: rest ->
-        Stg.pop_mask m;
-        pop v rest n
-    | F_unmask_pop :: rest ->
-        restore_mask ();
-        pop v rest n
-    | F_timeout _ :: rest ->
-        pop (Stg.alloc_value m (Stg.MCon (R.t_just, [| v |]))) rest n
-    | F_retry _ :: rest -> pop v rest n
-    | F_rethrow e :: rest -> unwind e rest n
-    | F_restore saved :: rest -> pop saved rest n
-    | F_catch :: rest ->
-        if Obs.on tr then Obs.record tr (Obs.Ev_catch None);
-        pop (Stg.alloc_value m (Stg.MCon (R.t_ok, [| v |]))) rest n
-  and unwind (exn : Exn.t) (stack : frame list) (n : int) : outcome =
-    match stack with
-    | [] -> Uncaught exn
-    | F_k _ :: rest -> unwind exn rest n
-    | F_bracket _ :: rest ->
-        (* The acquire failed: nothing to release. *)
-        Stg.pop_mask m;
-        unwind exn rest n
-    | F_release r :: rest ->
-        stats.Stats.brackets_released <- stats.Stats.brackets_released + 1;
-        if Obs.on tr then Obs.record tr Obs.Ev_release;
-        Stg.push_mask m;
-        perform r (F_mask_pop :: F_rethrow exn :: rest) (n + 1)
-    | F_onexn h :: rest ->
-        Stg.push_mask m;
-        perform h (F_mask_pop :: F_rethrow exn :: rest) (n + 1)
-    | F_mask_pop :: rest ->
-        Stg.pop_mask m;
-        unwind exn rest n
-    | F_unmask_pop :: rest ->
-        restore_mask ();
-        unwind exn rest n
-    | F_timeout _ :: rest when exn = Exn.Timeout ->
-        pop (Stg.alloc_value m (Stg.MCon (R.t_nothing, [||]))) rest n
-    | F_timeout _ :: rest -> unwind exn rest n
-    | F_retry (action, attempts, backoff) :: rest ->
-        if attempts > 0 then
-          (* Deterministic tick-counted backoff: burn [backoff] IO
-             transitions before the next attempt. *)
-          perform action
-            (F_retry (action, attempts - 1, 2 * backoff) :: rest)
-            (n + backoff)
-        else unwind exn rest n
-    | F_rethrow _ :: rest ->
-        (* A cleanup raised while unwinding: the newer exception wins. *)
-        unwind exn rest n
-    | F_restore _ :: rest -> unwind exn rest n
-    | F_catch :: rest ->
-        if Obs.on tr then Obs.record tr (Obs.Ev_catch (Some exn));
-        let stack =
-          if exn = Exn.Heap_overflow then
-            (* As at a direct getException: free the abandoned
-               allocations so the handler has room to recover. *)
-            let r = Stg.alloc_value m (Stg.MCon (R.t_unit, [||])) in
-            snd (emergency_gc r rest)
-          else rest
-        in
-        let ev = Stg.alloc_value m (Stg.exn_to_mvalue m exn) in
-        pop (Stg.alloc_value m (Stg.MCon (R.t_bad, [| ev |]))) stack n
-  in
-  let outcome = perform main_addr [] 0 in
   {
-    output = Buffer.contents buf;
-    reads = !reads;
+    output = R.output_of r.R.events;
+    reads =
+      List.length
+        (List.filter (function R.E_read _ -> true | _ -> false) r.R.events);
     outcome;
-    stats = Stg.stats m;
+    stats;
   }

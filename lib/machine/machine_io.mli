@@ -8,7 +8,12 @@
     exceptions associated with an exceptional value is represented by a
     single member, namely the exception that happens to be encountered
     first" (Section 3.5). Differential tests check that this member is in
-    the semantic set. *)
+    the semantic set.
+
+    This driver is the one-thread case of {!Semantics.Io_runtime} over
+    the machine instance {!Stg_io} — the runtime {!Machine_conc} runs
+    with many threads. The machine's step budget is refuelled at every
+    transition, and running out of it is [Io_diverged]. *)
 
 type outcome =
   | Done of Semantics.Sem_value.deep
@@ -38,7 +43,9 @@ val run :
     [async] events are injected into the machine's schedule (delivered at
     the first [getException] whose evaluation is running at or after the
     given machine step). [gc_every] runs a heap collection every that many
-    IO transitions (roots: the current action and pending
-    continuations). [trace] is shared with the underlying machine: the
-    driver adds bracket acquire/release and timeout events to the
-    machine's raise/poison/async stream. *)
+    IO transitions (roots: every value the runtime holds — the current
+    action, pending continuations and buffered channel elements); a
+    caught [HeapOverflow] runs one before the next transition. [trace]
+    is shared with the underlying machine: the driver adds bracket
+    acquire/release and timeout events to the machine's
+    raise/poison/async stream. *)

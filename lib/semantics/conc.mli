@@ -36,17 +36,21 @@
     buffer only when the deposit succeeds, so killing a blocked writer
     never loses a buffered element.
 
-    The scheduler itself runs on an indexed runtime — a bitmap run
-    queue iterated in tid order, a tid-to-thread hash table, intrusive
-    per-cell FIFO waiter queues and an incrementally maintained
-    blocked-on edge per thread — with the exact same round-based
-    schedule as the original list-scanning implementation (see DESIGN
-    §4i).
+    The scheduler is {!Io_runtime}, over the denotational instance
+    {!Denot_io}: the same runtime, frames and index checker that
+    [Machine.Machine_conc] runs over the abstract machine, and that
+    {!Iosem} runs with one thread. It is an indexed runtime — a bitmap
+    run queue iterated in tid order, a tid-to-thread hash table,
+    intrusive per-cell FIFO waiter queues and an incrementally maintained
+    blocked-on edge per thread — with the exact same round-based schedule
+    as the original list-scanning implementation (see DESIGN §4i).
 
     Exceptions interact with concurrency exactly as in the paper: an
     uncaught exceptional value kills only the thread that performed it
     (the main thread's death ends the program), and [getException] behaves
-    as in Section 4.4 within each thread.
+    as in Section 4.4 within each thread — including the self-transition:
+    when the exception set contains [NonTermination] a seeded oracle may
+    choose divergence, which ends the whole program as [Diverged].
 
     Thread-to-thread asynchronous exceptions (Prelude aliases
     [myThreadId], [throwTo t e], [killThread t]):
@@ -71,7 +75,7 @@
     [BlockedIndefinitelyOnMVar]); [Deadlock] remains only for the case
     where every blocked thread is masked. *)
 
-type event =
+type event = Io_runtime.event =
   | E_write of int * char  (** thread, character written *)
   | E_read of int * char
   | E_fork of int * int  (** parent, child *)
@@ -87,13 +91,14 @@ type event =
   | E_throwto of int * int * Lang.Exn.t
       (** [throwTo]: sender, target, exception (send, not delivery). *)
 
-type outcome =
+type outcome = Io_runtime.outcome =
   | Done of Sem_value.deep  (** The main thread's result. *)
   | Uncaught of Lang.Exn.t  (** The main thread died. *)
   | Deadlock
       (** No thread can ever run again and every blocked thread is
           masked, so not even [BlockedIndefinitely] can be delivered. *)
   | Diverged
+      (** The clock reached [max_steps], or the oracle chose divergence. *)
   | Stuck of string
 
 type result = {
@@ -120,7 +125,9 @@ val run :
   Lang.Syntax.expr ->
   result
 (** Perform a closed [IO] expression with the concurrent scheduler
-    (round-robin, one transition per thread per turn). [trace] receives
+    (round-robin, one transition per thread per turn). [max_steps]
+    bounds the scheduler clock: one tick per transition, plus the ticks
+    a sleeping thread's backoff fast-forwards over. [trace] receives
     structured oracle-pick, catch, async, mask, bracket, fork and
     timeout events.
 

@@ -27,7 +27,13 @@
     frames, exceptions trim them — running registered releases and
     handlers on the way down. [Bracket]'s acquire and every release run
     masked (async events and timeouts are deferred), so a cleanup can
-    never be torn mid-flight. *)
+    never be torn mid-flight.
+
+    This driver is the one-thread case of {!Io_runtime}, over the
+    denotational instance {!Denot_io} — the same runtime {!Conc} runs
+    with many threads. [forkIO] and the MVar actions are not IO values
+    here; a channel operation that would block can never be woken, so
+    it receives the catchable [BlockedIndefinitely] at once. *)
 
 type event =
   | E_read of char  (** [?c] — a character was read. *)
@@ -45,7 +51,7 @@ type outcome =
           self-transition for a [NonTermination] set. *)
   | Stuck of string  (** Ill-typed IO value, or input exhausted. *)
 
-type counters = {
+type counters = Io_runtime.counters = {
   mutable async_delivered : int;
       (** Asynchronous events actually delivered (not deferred by a
           mask). *)
@@ -74,7 +80,7 @@ type result = { trace : event list; outcome : outcome; counters : counters }
 val pp_event : event Fmt.t
 val pp_outcome : outcome Fmt.t
 
-type schedule = (int * Lang.Exn.t) list
+type schedule = Io_runtime.schedule
 (** Asynchronous events: [(k, x)] delivers [x] at the first [getException]
     performed at or after transition [k]. *)
 

@@ -498,4 +498,28 @@ let suite =
         | o -> Alcotest.failf "unexpected %a" Machine_conc.pp_outcome o);
         Alcotest.(check string) "machine deadlock keeps output" "a"
           md.Machine_conc.output);
+      tc "getException of a NonTermination set may diverge (4.4)" (fun () ->
+        (* The Section 4.4 self-transition: when the set contains
+           NonTermination a seeded oracle may take it (the whole program
+           diverges) or pick the exception (the handler runs). Across
+           seeds the concurrent layer must reach both, as Iosem does. *)
+        let src =
+          "getException (let rec g = g + 1 in g) >>= \\r -> case r of { \
+           OK x -> return x; Bad e -> return 0 }"
+        in
+        let outcomes =
+          List.map
+            (fun seed ->
+              (Conc.run ~oracle:(Oracle.create ~seed) (parse src)).Conc.outcome)
+            (List.init 20 (fun i -> i + 1))
+        in
+        Alcotest.(check bool)
+          "some seed diverges" true
+          (List.exists (function Conc.Diverged -> true | _ -> false) outcomes);
+        Alcotest.(check bool)
+          "some seed catches" true
+          (List.exists
+             (function
+               | Conc.Done d -> Value.deep_equal d (dint 0) | _ -> false)
+             outcomes));
   ]

@@ -104,4 +104,57 @@ let suite =
         match go e 0 with
         | None -> false
         | Some final -> Syntax.size final <= start);
+      tc "the 4.2 corpus seed catches an injected no-app-union bug" (fun () ->
+        (* fuzz/corpus/app-union-strict-arg.impexn applies an exceptional
+           function to an exceptional argument: evaluating the argument
+           first is valid only if the application unions its exceptions
+           in (Section 4.2), so the seed is clean in the faithful
+           semantics and a violation once the union is dropped. *)
+        let file = "../fuzz/corpus/app-union-strict-arg.impexn" in
+        let replay vconfig =
+          match
+            Fuzz.minimize_file { Fuzz.default_config with vconfig } file
+          with
+          | Ok c -> c
+          | Error e -> Alcotest.fail e
+        in
+        (match replay Differ.default_vconfig with
+        | None -> ()
+        | Some c -> Alcotest.failf "clean replay flagged %s" c.Fuzz.check);
+        let ablated =
+          match Fuzz.inject_bug "no-app-union" Differ.default_vconfig with
+          | Ok v -> v
+          | Error e -> Alcotest.fail e
+        in
+        match replay ablated with
+        | Some c ->
+            Alcotest.(check string) "check" "strict-arg-eval" c.Fuzz.check
+        | None -> Alcotest.fail "no-app-union not caught by the 4.2 seed");
+    tc "law checks skip ill-typed terms (seed-5 case_of_case)" (fun () ->
+        (* The seed-5 finding: case_of_case failed on this term only
+           because [False -> 1] puts an Int where the outer case expects a
+           Bool, so the pushed-in [case 1 of { True -> ... }] gains a
+           PatternMatchFail. The laws are claimed for typed programs
+           (C14): the type checker rejects the term, the law-based
+           oracles skip it and count it, and the differential checks
+           still run clean. *)
+        let t =
+          Parser.parse_expr
+            "case case raise (UserError \"inner\") of { True -> False; \
+             False -> 1 } of { True -> 1; False -> 0 }"
+        in
+        Alcotest.(check bool)
+          "ill-typed" true
+          (Result.is_error (Infer.infer (Infer.with_prelude ()) t));
+        let st = Metamorph.create () in
+        let vs = Metamorph.check_pure st t in
+        Alcotest.(check (list string))
+          "no law violations" []
+          (List.map (fun v -> v.Metamorph.oracle) vs);
+        Alcotest.(check int) "counted as ill-typed" 1 (Metamorph.ill_typed st);
+        Alcotest.(check (list string))
+          "no differential violations" []
+          (List.map
+             (fun v -> v.Differ.check)
+             (Differ.check_pure Differ.default_vconfig t).Differ.violations));
   ]
