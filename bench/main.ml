@@ -266,10 +266,42 @@ let table_opt () =
   Fmt.pr "%-26s %12.2f ms wall (%d lint checks, %.1f%% of pipeline)@."
     "lint overhead" (!lint_time *. 1000.) !lint_checks
     (100.0 *. lint_share);
+  (* Cold requests, as [impexn serve] with and without [--optimize]
+     answers them: every program is a cache miss on a fresh engine.
+     Unoptimised programs link against the Prelude image; [prune]
+     rewrites the Prelude group, so optimised ones resolve and compile
+     what is left of it on every request. *)
+  let cold_p50 optimize =
+    let lat = ref [] in
+    for _ = 1 to 5 do
+      let engine =
+        Serve.create ~config:{ Serve.default_config with Serve.optimize } ()
+      in
+      let sess = Serve.session engine in
+      List.iteri
+        (fun i e ->
+          let t0 = Mono_clock.now () in
+          Serve.feed sess (Printf.sprintf "eval c%d" i);
+          List.iter (Serve.feed sess)
+            (String.split_on_char '\n' (Pretty.expr_to_string e.Corpus.expr));
+          Serve.feed sess ".";
+          Serve.run_all engine;
+          ignore (Serve.drain sess);
+          lat := Int64.to_float (Int64.sub (Mono_clock.now ()) t0) :: !lat)
+        pure
+    done;
+    let a = Array.of_list !lat in
+    Array.sort compare a;
+    a.(Array.length a / 2) /. 1e3
+  in
+  let cold_o0 = cold_p50 false and cold_o1 = cold_p50 true in
+  Fmt.pr "%-26s %12.1f %12.1f   (us, slot backend)@." "cold request p50"
+    cold_o0 cold_o1;
   let json =
     Printf.sprintf
-      "{\"bench\":\"opt_serve\",\"wallclock\":true,\"programs\":%d,\"steps_orig\":%d,\"steps_opt\":%d,\"step_reduction_pct\":%.2f,\"bc_dispatches_orig\":%d,\"bc_dispatches_opt\":%d,\"dispatch_reduction_pct\":%.2f,\"optimize_wall_s\":%.5f,\"lint_wall_s\":%.5f,\"lint_share\":%.4f,\"lint_checks\":%d}\n"
-      (List.length pairs) steps_orig steps_opt (pct steps_orig steps_opt)
+      "{\"bench\":\"opt_serve\",\"wallclock\":true,\"programs\":%d,\"cold_p50_us_o0\":%.1f,\"cold_p50_us_o1\":%.1f,\"steps_orig\":%d,\"steps_opt\":%d,\"step_reduction_pct\":%.2f,\"bc_dispatches_orig\":%d,\"bc_dispatches_opt\":%d,\"dispatch_reduction_pct\":%.2f,\"optimize_wall_s\":%.5f,\"lint_wall_s\":%.5f,\"lint_share\":%.4f,\"lint_checks\":%d}\n"
+      (List.length pairs) cold_o0 cold_o1 steps_orig steps_opt
+      (pct steps_orig steps_opt)
       disp_orig disp_opt (pct disp_orig disp_opt) opt_time !lint_time
       lint_share !lint_checks
   in
@@ -1212,7 +1244,7 @@ let table_asyncexn () =
    burner, black hole, spinner-with-timeout) with well-behaved
    requests and asserts the latter still succeed: degradation is
    per-request, never service-wide. Emitted as BENCH_S.json. *)
-let table_serve () =
+let table_serve ~smoke () =
   header
     "Table S: serve daemon under corpus replay + fault mix, both backends";
   let entries, _unparsable = Corpus.load_dir "fuzz/corpus" in
@@ -1243,22 +1275,24 @@ let table_serve () =
     Serve.feed sess "."
   in
   (* Round-trip load generator: submit, run to completion, drain; the
-     latency of one request is the full submit-to-reply wall time. *)
-  let latencies = ref [] in
+     latency of one request is the full submit-to-reply wall time. The
+     first round misses the compiled-program cache (cold), the second
+     hits it (hot); each keeps its own latencies. *)
   let t_start = Mono_clock.now () in
-  List.iter
-    (fun round ->
-      List.iteri
-        (fun i e ->
-          let src = Pretty.expr_to_string e.Corpus.expr in
-          let t0 = Mono_clock.now () in
-          submit (Printf.sprintf "%s%d" round i) "" src;
-          Serve.run_all engine;
-          ignore (Serve.drain sess);
-          let t1 = Mono_clock.now () in
-          latencies := Int64.to_float (Int64.sub t1 t0) :: !latencies)
-        pure)
-    [ "a"; "b" ];
+  let replay round =
+    List.mapi
+      (fun i e ->
+        let src = Pretty.expr_to_string e.Corpus.expr in
+        let t0 = Mono_clock.now () in
+        submit (Printf.sprintf "%s%d" round i) "" src;
+        Serve.run_all engine;
+        ignore (Serve.drain sess);
+        let t1 = Mono_clock.now () in
+        Int64.to_float (Int64.sub t1 t0))
+      pure
+  in
+  let cold = replay "a" in
+  let hot = replay "b" in
   let total_ns =
     Int64.to_float (Int64.sub (Mono_clock.now ()) t_start)
   in
@@ -1267,16 +1301,17 @@ let table_serve () =
     if total_ns > 0.0 then float_of_int n_requests /. (total_ns /. 1e9)
     else 0.0
   in
-  let sorted = Array.of_list !latencies in
-  Array.sort compare sorted;
-  let pct p =
+  let pct latencies p =
+    let sorted = Array.of_list latencies in
+    Array.sort compare sorted;
     let n = Array.length sorted in
     if n = 0 then 0.0
     else
       let k = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
       sorted.(max 0 (min (n - 1) k))
   in
-  let p50 = pct 50.0 and p99 = pct 99.0 in
+  let p50 = pct (cold @ hot) 50.0 and p99 = pct (cold @ hot) 99.0 in
+  let cold_p50 = pct cold 50.0 and hot_p50 = pct hot 50.0 in
   (* Fault mode: the killers interleaved with survivors; every
      survivor must still answer [ok]. *)
   let killers =
@@ -1314,7 +1349,7 @@ let table_serve () =
   in
   if c.Serve.crashes > 0 then
     Fmt.epr "table_serve: unexpected crashes: %d@." c.Serve.crashes;
-  (n_requests, rps, p50, p99, hit_rate, c, !fault_ok)
+  (n_requests, rps, p50, p99, hit_rate, c, !fault_ok, cold_p50, hot_p50)
   in
   let rounds =
     [
@@ -1325,21 +1360,31 @@ let table_serve () =
   Fmt.pr "%-26s %12s %12s@." "metric" "slot" "bytecode";
   let col f = List.map (fun (_, r) -> f r) rounds in
   (match
-     ( col (fun (n, _, _, _, _, _, _) -> float_of_int n),
-       col (fun (_, rps, _, _, _, _, _) -> rps),
-       col (fun (_, _, p50, _, _, _, _) -> p50),
-       col (fun (_, _, _, p99, _, _, _) -> p99),
-       col (fun (_, _, _, _, hr, _, _) -> hr) )
+     ( col (fun (n, _, _, _, _, _, _, _, _) -> float_of_int n),
+       col (fun (_, rps, _, _, _, _, _, _, _) -> rps),
+       col (fun (_, _, p50, _, _, _, _, _, _) -> p50),
+       col (fun (_, _, _, p99, _, _, _, _, _) -> p99),
+       col (fun (_, _, _, _, hr, _, _, _, _) -> hr),
+       col (fun (_, _, _, _, _, _, _, cp, _) -> cp),
+       col (fun (_, _, _, _, _, _, _, _, hp) -> hp) )
    with
-  | [ n1; n2 ], [ r1; r2 ], [ f1; f2 ], [ n991; n992 ], [ h1; h2 ] ->
+  | ( [ n1; n2 ],
+      [ r1; r2 ],
+      [ f1; f2 ],
+      [ n991; n992 ],
+      [ h1; h2 ],
+      [ c1; c2 ],
+      [ o1; o2 ] ) ->
       Fmt.pr "%-26s %12.0f %12.0f@." "requests (replay)" n1 n2;
       Fmt.pr "%-26s %12.1f %12.1f@." "requests/sec" r1 r2;
       Fmt.pr "%-26s %12.0f %12.0f@." "p50 latency (ns)" f1 f2;
       Fmt.pr "%-26s %12.0f %12.0f@." "p99 latency (ns)" n991 n992;
+      Fmt.pr "%-26s %12.0f %12.0f@." "cold p50 (ns, round 1)" c1 c2;
+      Fmt.pr "%-26s %12.0f %12.0f@." "hot p50 (ns, round 2)" o1 o2;
       Fmt.pr "%-26s %12.2f %12.2f@." "cache hit rate" h1 h2
   | _ -> ());
   List.iter
-    (fun (bname, (_, _, _, _, _, (c : Serve.counters), fault_ok)) ->
+    (fun (bname, (_, _, _, _, _, (c : Serve.counters), fault_ok, _, _)) ->
       Fmt.pr "%-26s %12d (%s)@." "quota kills"
         (c.Serve.quota_heap + c.Serve.quota_stack + c.Serve.quota_fuel)
         bname;
@@ -1353,11 +1398,11 @@ let table_serve () =
       (String.concat ","
          (List.map
             (fun ( bname,
-                   (n, rps, p50, p99, hit_rate, (c : Serve.counters),
-                    fault_ok) ) ->
+                   ( n, rps, p50, p99, hit_rate, (c : Serve.counters),
+                     fault_ok, cold_p50, hot_p50 ) ) ->
               Printf.sprintf
-                "{\"backend\":%S,\"requests\":%d,\"requests_per_sec\":%.1f,\"p50_latency_ns\":%.0f,\"p99_latency_ns\":%.0f,\"cache_hit_rate\":%.3f,\"cache_hits\":%d,\"cache_misses\":%d,\"quota_heap\":%d,\"quota_stack\":%d,\"quota_fuel\":%d,\"timeouts\":%d,\"crashes\":%d,\"fault_mode_ok\":%b}"
-                bname n rps p50 p99 hit_rate c.Serve.cache_hits
+                "{\"backend\":%S,\"requests\":%d,\"requests_per_sec\":%.1f,\"p50_latency_ns\":%.0f,\"p99_latency_ns\":%.0f,\"cold_p50_latency_ns\":%.0f,\"hot_p50_latency_ns\":%.0f,\"cache_hit_rate\":%.3f,\"cache_hits\":%d,\"cache_misses\":%d,\"quota_heap\":%d,\"quota_stack\":%d,\"quota_fuel\":%d,\"timeouts\":%d,\"crashes\":%d,\"fault_mode_ok\":%b}"
+                bname n rps p50 p99 cold_p50 hot_p50 hit_rate c.Serve.cache_hits
                 c.Serve.cache_misses c.Serve.quota_heap c.Serve.quota_stack
                 c.Serve.quota_fuel c.Serve.timeouts c.Serve.crashes fault_ok)
             rounds))
@@ -1366,8 +1411,21 @@ let table_serve () =
   output_string oc json;
   close_out oc;
   Fmt.pr "(BENCH_S.json written)@.";
-  if List.exists (fun (_, (_, _, _, _, _, _, ok)) -> not ok) rounds then
-    exit 1
+  if List.exists (fun (_, (_, _, _, _, _, _, ok, _, _)) -> not ok) rounds
+  then exit 1;
+  (* A cold request resolves and compiles only its own body (the
+     Prelude image is linked, not rebuilt), so it must stay within a
+     small factor of a cache hit. Before the image the factor was
+     40-135x. *)
+  if smoke then
+    List.iter
+      (fun (bname, (_, _, _, _, _, _, _, cold_p50, hot_p50)) ->
+        if cold_p50 > 10.0 *. hot_p50 then begin
+          Fmt.epr "table_serve: %s cold p50 %.0f ns > 10x hot p50 %.0f ns@."
+            bname cold_p50 hot_p50;
+          exit 1
+        end)
+      rounds
 
 let make_tests () =
   let t name f = Test.make ~name (Staged.stage f) in
@@ -1480,7 +1538,7 @@ let () =
   table_bytecode ();
   table_tracing ();
   table_asyncexn ();
-  table_serve ();
+  table_serve ~smoke ();
   if skip_bechamel then Fmt.pr "@.(bechamel skipped)@."
   else run_bechamel ();
   Fmt.pr "@.done.@."

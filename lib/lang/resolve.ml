@@ -85,6 +85,16 @@ type context = {
   con_table : (string, int) Hashtbl.t;
   con_names : (int, string) Hashtbl.t;
   mutable next_tag : int;
+  mutable image : image option;  (* built on first use, see {!expr} *)
+}
+
+(* The Prelude letrec resolved once per context: every closed program is
+   [letrec <Prelude> in e], and the Prelude half of its IR is the same
+   for every [e]. *)
+and image = {
+  specs : tspec array;  (* the Prelude bindings' thunk templates *)
+  frame : string array;  (* their names: the root frame of [e] *)
+  sites : int;  (* raise sites numbered inside the Prelude *)
 }
 
 let new_context () =
@@ -93,6 +103,7 @@ let new_context () =
       con_table = Hashtbl.create 64;
       con_names = Hashtbl.create 64;
       next_tag = 0;
+      image = None;
     }
   in
   List.iter
@@ -172,27 +183,52 @@ let is_io_action_tag t = List.mem t io_action_tags
 
 module S = Set.Make (String)
 
-let rec fv = function
-  | Var x -> S.singleton x
-  | Lit _ -> S.empty
-  | Lam (x, b) -> S.remove x (fv b)
-  | App (f, a) -> S.union (fv f) (fv a)
+(* The free variables of every node of a term, computed in one bottom-up
+   pass and kept as a tree the resolver walks in lockstep with the term:
+   [sub] holds the children's sets in the order {!annotate} lists them.
+   Recomputing a node's free variables at each capture point instead
+   costs the size of the subtree every time, which is quadratic on deep
+   terms such as long list literals. *)
+type fvs = { fv : S.t; sub : fvs array }
+
+let leaf fv = { fv; sub = [||] }
+let union_all subs = Array.fold_left (fun s a -> S.union s a.fv) S.empty subs
+
+let rec annotate (e : expr) : fvs =
+  match e with
+  | Var x -> leaf (S.singleton x)
+  | Lit _ -> leaf S.empty
+  | Lam (x, b) ->
+      let ab = annotate b in
+      { fv = S.remove x ab.fv; sub = [| ab |] }
+  | App (f, a) ->
+      let sub = [| annotate f; annotate a |] in
+      { fv = union_all sub; sub }
   | Con (_, es) | Prim (_, es) ->
-      List.fold_left (fun s e -> S.union s (fv e)) S.empty es
+      let sub = Array.of_list (List.map annotate es) in
+      { fv = union_all sub; sub }
   | Case (scrut, alts) ->
-      List.fold_left
-        (fun acc a ->
-          S.union acc (S.diff (fv a.rhs) (S.of_list (pat_binders a.pat))))
-        (fv scrut) alts
-  | Let (x, e1, e2) -> S.union (fv e1) (S.remove x (fv e2))
+      let sc = annotate scrut in
+      let rhss = List.map (fun a -> annotate a.rhs) alts in
+      let fv =
+        List.fold_left2
+          (fun acc a ra ->
+            S.union acc (S.diff ra.fv (S.of_list (pat_binders a.pat))))
+          sc.fv alts rhss
+      in
+      { fv; sub = Array.of_list (sc :: rhss) }
+  | Let (x, e1, e2) ->
+      let a1 = annotate e1 and a2 = annotate e2 in
+      { fv = S.union a1.fv (S.remove x a2.fv); sub = [| a1; a2 |] }
   | Letrec (binds, body) ->
-      let bound = S.of_list (List.map fst binds) in
-      S.diff
-        (List.fold_left
-           (fun s (_, e) -> S.union s (fv e))
-           (fv body) binds)
-        bound
-  | Raise e | Fix e -> fv e
+      let sub =
+        Array.of_list
+          (List.map (fun (_, rhs) -> annotate rhs) binds @ [ annotate body ])
+      in
+      { fv = S.diff (union_all sub) (S.of_list (List.map fst binds)); sub }
+  | Raise e1 | Fix e1 ->
+      let a1 = annotate e1 in
+      { fv = a1.fv; sub = [| a1 |] }
 
 (* ------------------------------------------------------------------ *)
 (* Scope: a static image of the runtime frame chain                    *)
@@ -218,22 +254,19 @@ let find_slot (scope : scope) (x : string) : slot option =
   in
   go 0 scope
 
-(* The ordered capture list of an expression under a scope: its free
-   variables that are actually in scope (out-of-scope names stay free
-   and resolve to [RUnbound] inside the body). Order is the set's
-   (sorted) order — deterministic, and mirrored by the body scope. *)
-let captures (scope : scope) (e : expr) : string array * slot array =
-  let names =
-    List.filter (fun x -> find_slot scope x <> None) (S.elements (fv e))
+(* The ordered capture list of a node under a scope: its free variables
+   that are actually in scope (out-of-scope names stay free and resolve
+   to [RUnbound] inside the body). Order is the set's (sorted) order —
+   deterministic, and mirrored by the body scope. *)
+let captures (scope : scope) (fv : S.t) : string array * slot array =
+  let found =
+    S.fold
+      (fun x acc ->
+        match find_slot scope x with Some s -> (x, s) :: acc | None -> acc)
+      fv []
+    |> List.rev
   in
-  ( Array.of_list names,
-    Array.of_list
-      (List.map
-         (fun x ->
-           match find_slot scope x with
-           | Some s -> s
-           | None -> assert false)
-         names) )
+  (Array.of_list (List.map fst found), Array.of_list (List.map snd found))
 
 (* ------------------------------------------------------------------ *)
 (* Raise-site labels                                                   *)
@@ -241,11 +274,13 @@ let captures (scope : scope) (e : expr) : string array * slot array =
 
 (* Each [raise] occurrence gets a site number scoped to the top-level
    {!expr} call plus a hint of what it raises, so exception provenance
-   can name the site: "raise#3:UserError". Numbering restarts at 0 for
-   every resolution, so resolving the same source twice yields
-   structurally identical IR — the property the serve daemon's
-   compiled-program cache keys on (a cache hit and a fresh resolution
-   must be indistinguishable, provenance labels included). *)
+   can name the site: "raise#3:UserError". Numbering starts at 0 for
+   every resolution (a program linked against the Prelude image
+   continues from the image's count, which is where resolving the
+   Prelude in place would have left it), so resolving the same source
+   twice yields structurally identical IR — the property the serve
+   daemon's compiled-program cache keys on (a cache hit and a fresh
+   resolution must be indistinguishable, provenance labels included). *)
 type pass_state = { rctx : context; mutable next_site : int }
 
 let raise_label (st : pass_state) (e : expr) : string =
@@ -263,7 +298,9 @@ let raise_label (st : pass_state) (e : expr) : string =
 (* The pass                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let rec resolve (st : pass_state) (scope : scope) (e : expr) : rexpr =
+(* Each case takes the node's free-variable tree [a] alongside it. *)
+let rec resolve (st : pass_state) (scope : scope) (e : expr) (a : fvs) :
+    rexpr =
   match e with
   | Var x -> (
       match find_slot scope x with
@@ -271,40 +308,55 @@ let rec resolve (st : pass_state) (scope : scope) (e : expr) : rexpr =
       | None -> RUnbound x)
   | Lit l -> RLit l
   | Lam (x, body) ->
-      let names, lcaps = captures scope e in
-      RLam { lcaps; lbody = resolve st [ [| x |]; names ] body; lname = x }
-  | App (f, a) -> RApp (resolve st scope f, resolve_arg st scope a)
+      let names, lcaps = captures scope a.fv in
+      RLam
+        {
+          lcaps;
+          lbody = resolve st [ [| x |]; names ] body a.sub.(0);
+          lname = x;
+        }
+  | App (f, x) ->
+      RApp (resolve st scope f a.sub.(0), resolve_arg st scope x a.sub.(1))
   | Con (c, es) ->
       RCon
         ( con_tag ~ctx:st.rctx c,
-          Array.of_list (List.map (resolve_arg st scope) es) )
+          Array.of_list
+            (List.mapi (fun i e -> resolve_arg st scope e a.sub.(i)) es) )
   | Case (scrut, alts) ->
       RCase
-        ( resolve st scope scrut,
-          Array.of_list (List.map (resolve_alt st scope) alts) )
+        ( resolve st scope scrut a.sub.(0),
+          Array.of_list
+            (List.mapi
+               (fun i alt -> resolve_alt st scope alt a.sub.(i + 1))
+               alts) )
   | Let (x, e1, e2) ->
-      RLet (resolve_arg st scope e1, resolve st ([| x |] :: scope) e2)
+      RLet
+        ( resolve_arg st scope e1 a.sub.(0),
+          resolve st ([| x |] :: scope) e2 a.sub.(1) )
   | Letrec (binds, body) ->
       let frame = Array.of_list (List.map fst binds) in
       let scope' = frame :: scope in
-      let specs =
-        Array.of_list
-          (List.map (fun (_, rhs) -> thunk_spec st scope' rhs) binds)
-      in
-      RLetrec (specs, resolve st scope' body)
+      let specs = letrec_specs st scope' binds a.sub in
+      RLetrec (specs, resolve st scope' body a.sub.(Array.length frame))
   | Fix e1 ->
       (* fix e ≡ letrec x = e x in x — the machine's own reading,
          desugared here so the IR needs no fixpoint node. *)
+      let a1 = a.sub.(0) and v = leaf (S.singleton "$fix") in
+      let app = { fv = S.add "$fix" a1.fv; sub = [| a1; v |] } in
       resolve st scope
         (Letrec ([ ("$fix", App (e1, Var "$fix")) ], Var "$fix"))
-  | Raise e1 -> RRaise (raise_label st e1, resolve st scope e1)
+        { fv = a1.fv; sub = [| app; v |] }
+  | Raise e1 -> RRaise (raise_label st e1, resolve st scope e1 a.sub.(0))
   | Prim (Prim.Map_exception, [ f; v ]) ->
-      RMapexn (resolve_arg st scope f, resolve st scope v)
-  | Prim (Prim.Unsafe_is_exception, [ v ]) -> RIsexn (resolve st scope v)
-  | Prim (Prim.Unsafe_get_exception, [ v ]) -> RGetexn (resolve st scope v)
-  | Prim (p, es) -> RPrim (p, List.map (resolve st scope) es)
+      RMapexn (resolve_arg st scope f a.sub.(0), resolve st scope v a.sub.(1))
+  | Prim (Prim.Unsafe_is_exception, [ v ]) ->
+      RIsexn (resolve st scope v a.sub.(0))
+  | Prim (Prim.Unsafe_get_exception, [ v ]) ->
+      RGetexn (resolve st scope v a.sub.(0))
+  | Prim (p, es) ->
+      RPrim (p, List.mapi (fun i e -> resolve st scope e a.sub.(i)) es)
 
-and resolve_arg st scope e =
+and resolve_arg st scope e a =
   match e with
   | Var x -> (
       (* alloc_in's "variables are already in the heap" fast path,
@@ -312,28 +364,77 @@ and resolve_arg st scope e =
       match find_slot scope x with
       | Some s -> Aslot s
       | None -> Athunk { caps = [||]; tbody = RUnbound x })
-  | _ -> Athunk (thunk_spec st scope e)
+  | _ -> Athunk (thunk_spec st scope e a)
 
-and thunk_spec st scope e =
-  let names, caps = captures scope e in
-  { caps; tbody = resolve st [ names ] e }
+and thunk_spec st scope e a =
+  let names, caps = captures scope a.fv in
+  { caps; tbody = resolve st [ names ] e a }
 
-and resolve_alt st scope (a : alt) : ralt =
-  match a.pat with
+(* A letrec's binding templates, in binding order, under the scope that
+   already holds the letrec's own frame; [subs.(i)] is binding [i]'s
+   free-variable tree. *)
+and letrec_specs st scope binds subs =
+  Array.of_list
+    (List.mapi (fun i (_, rhs) -> thunk_spec st scope rhs subs.(i)) binds)
+
+and resolve_alt st scope (alt : alt) a : ralt =
+  match alt.pat with
   | Pcon (c, xs) ->
       let n = List.length xs in
       let scope' = if n = 0 then scope else Array.of_list xs :: scope in
       {
         rpat = Rpcon (con_tag ~ctx:st.rctx c, n);
-        rrhs = resolve st scope' a.rhs;
+        rrhs = resolve st scope' alt.rhs a;
       }
-  | Plit l -> { rpat = Rplit l; rrhs = resolve st scope a.rhs }
-  | Pany None -> { rpat = Rpany false; rrhs = resolve st scope a.rhs }
+  | Plit l -> { rpat = Rplit l; rrhs = resolve st scope alt.rhs a }
+  | Pany None -> { rpat = Rpany false; rrhs = resolve st scope alt.rhs a }
   | Pany (Some x) ->
-      { rpat = Rpany true; rrhs = resolve st ([| x |] :: scope) a.rhs }
+      { rpat = Rpany true; rrhs = resolve st ([| x |] :: scope) alt.rhs a }
+
+(* ------------------------------------------------------------------ *)
+(* The Prelude image                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The specs array of every image built so far, for
+   {!is_prelude_image}. Compilation is context-free, so a backend sees a
+   program's root letrec without its context; this identity set is how
+   it tells an image from any other letrec. One entry per context that
+   has resolved a Prelude-closed program. *)
+let images : tspec array list ref = ref []
+
+let is_prelude_image specs = List.exists (fun s -> s == specs) !images
+
+(* Built on first use, never at library initialisation: a process that
+   resolves no Prelude-closed program never pays for it. Resolving the
+   bindings under their own frame with a fresh site counter is exactly
+   what resolving [Prelude.wrap e] does before it reaches [e]. *)
+let prelude_image ctx =
+  match ctx.image with
+  | Some im -> im
+  | None ->
+      let st = { rctx = ctx; next_site = 0 } in
+      let frame = Array.of_list Prelude.names in
+      let subs =
+        Array.of_list (List.map (fun (_, rhs) -> annotate rhs) Prelude.defs)
+      in
+      let specs = letrec_specs st [ frame ] Prelude.defs subs in
+      let im = { specs; frame; sites = st.next_site } in
+      ctx.image <- Some im;
+      images := specs :: !images;
+      im
 
 let expr ?(ctx = global_context) (e : expr) : rexpr =
-  resolve { rctx = ctx; next_site = 0 } [] e
+  match e with
+  | Letrec (binds, body) when binds == Prelude.defs ->
+      (* The same physical test as the linter's [Pristine]: only the
+         shared defs list is known to be the Prelude. *)
+      let im = prelude_image ctx in
+      RLetrec
+        ( im.specs,
+          resolve
+            { rctx = ctx; next_site = im.sites }
+            [ im.frame ] body (annotate body) )
+  | _ -> resolve { rctx = ctx; next_site = 0 } [] e (annotate e)
 
 (* ------------------------------------------------------------------ *)
 (* Static accounting (for tests and docs)                              *)

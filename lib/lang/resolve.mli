@@ -76,7 +76,20 @@ val expr : ?ctx:context -> Syntax.expr -> rexpr
 (** Resolve a (usually closed) top-level expression. Resolution is
     deterministic: the same source yields structurally identical IR
     (raise-site numbering restarts per call), which is what lets a
-    compiled-program cache substitute for a fresh resolution. *)
+    compiled-program cache substitute for a fresh resolution.
+
+    A root [Letrec (binds, e)] whose [binds] is physically
+    {!Prelude.defs} (what {!Prelude.wrap} builds) is linked against the
+    context's Prelude image, resolved on first use: the result's root
+    letrec shares the image's templates array and only [e] is resolved,
+    its raise sites numbered on from the Prelude's. The IR equals what
+    resolving the Prelude in place would give, labels included. *)
+
+val is_prelude_image : tspec array -> bool
+(** [true] when the array is (physically) some context's Prelude image,
+    i.e. the root letrec templates of every {!expr} over
+    [Prelude.wrap e] in that context. Backends compile such a root's
+    bindings once and link each program after them. *)
 
 val con_tag : ?ctx:context -> string -> int
 (** Intern a constructor name (idempotent; builtins are pre-interned in

@@ -125,28 +125,67 @@ let code_words p = Array.length p.code
 (* The compiler                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* An accumulating pool: add returns the index, freeze returns the
-   array in insertion order. *)
-let pool () =
-  let items = ref [] and n = ref 0 in
+(* The Prelude image's bindings compiled once ({!Lang.Resolve.expr}
+   shares one image per context among all Prelude-closed programs).
+   Its code and pools are the prefix of every program linked against
+   it, so their pcs and pool indices hold unchanged there. *)
+type segment = {
+  image : R.tspec array;  (* the image it compiles, matched by [==] *)
+  binds : int array;  (* the tspec pool index of each image binding *)
+  prog : program;  (* code and pools; [entry] is unused *)
+}
+
+(* What one run of the compiler lays out: a whole program, or an
+   image's bindings as a segment (returning their tspec indices). *)
+type unit_of_code = Program of R.rexpr | Image of R.tspec array
+
+(* An accumulating pool continuing after [base]: add returns the index,
+   freeze returns [base] followed by the additions in order. *)
+let pool base =
+  let items = ref [] and n = ref (Array.length base) in
   let add x =
     let i = !n in
     items := x :: !items;
     incr n;
     i
   in
-  let freeze () = Array.of_list (List.rev !items) in
+  let freeze () = Array.append base (Array.of_list (List.rev !items)) in
   (add, freeze)
 
-let compile (root : R.rexpr) : program =
+(* A case site with its inline cache emptied: a linked program starts
+   from the segment's sites, never from another program's warm ones. *)
+let fresh_site c = { c with ic_tag = -1; ic_nb = -1; ic_pc = -1 }
+
+(* The compiler proper. With [link], the program starts with the
+   segment's code and pools and emits only what follows them; a root
+   letrec over the segment's image binds the segment's templates
+   instead of compiling them again. *)
+let assemble (link : segment option) (u : unit_of_code) : program * int array
+    =
+  let base =
+    match link with
+    | Some sg -> { sg.prog with cases = Array.map fresh_site sg.prog.cases }
+    | None ->
+        {
+          code = [||];
+          entry = -1;
+          app_pc = -1;
+          strs = [||];
+          lams = [||];
+          tspecs = [||];
+          cases = [||];
+          prims = [||];
+        }
+  in
+  let off = Array.length base.code in
   let code = Growarray.create ~dummy:0 () in
   let emit w = ignore (Growarray.push code w) in
-  let here () = Growarray.length code in
-  let add_str, freeze_strs = pool () in
-  let add_lam, freeze_lams = pool () in
-  let add_tspec_info, freeze_tspecs = pool () in
-  let add_case, freeze_cases = pool () in
-  let add_prim, freeze_prims = pool () in
+  let here () = off + Growarray.length code in
+  let add_str, freeze_strs = pool base.strs in
+  let add_lam, freeze_lams = pool base.lams in
+  let add_tspec_info, freeze_tspecs = pool base.tspecs in
+  let add_case, freeze_cases = pool base.cases in
+  let add_prim, freeze_prims = pool base.prims in
   (* Sub-blocks (λ and thunk bodies, case branches, prim arguments past
      the first) are queued and emitted after the current linear block,
      each job patching its entry pc into the pool record that owns it. *)
@@ -262,7 +301,9 @@ let compile (root : R.rexpr) : program =
     | R.RLetrec (specs, body) ->
         emit op_letrec;
         emit (Array.length specs);
-        Array.iter (fun sp -> emit (add_tspec sp)) specs;
+        (match link with
+        | Some sg when specs == sg.image -> Array.iter emit sg.binds
+        | _ -> Array.iter (fun sp -> emit (add_tspec sp)) specs);
         emit_tail body
     | R.RPrim (p, []) ->
         emit op_prim0;
@@ -296,26 +337,68 @@ let compile (root : R.rexpr) : program =
         emit op_push_catch;
         emit_tail v
   in
-  let entry = here () in
-  emit_tail root;
-  (* The shared application template [$f $x] over a [|f; x|] frame. *)
-  let app_pc = here () in
-  emit op_app_enter;
-  emit (-pack { R.frame = 0; R.idx = 1 } - 1);
-  emit (pack { R.frame = 0; R.idx = 0 });
+  let entry, binds =
+    match u with
+    | Program root ->
+        let entry = here () in
+        emit_tail root;
+        (entry, [||])
+    | Image specs -> (-1, Array.map add_tspec specs)
+  in
+  (* The shared application template [$f $x] over a [|f; x|] frame;
+     a linked program reuses its segment's. *)
+  let app_pc =
+    match link with
+    | Some sg -> sg.prog.app_pc
+    | None ->
+        let pc = here () in
+        emit op_app_enter;
+        emit (-pack { R.frame = 0; R.idx = 1 } - 1);
+        emit (pack { R.frame = 0; R.idx = 0 });
+        pc
+  in
   while not (Queue.is_empty pending) do
     (Queue.pop pending) ()
   done;
-  {
-    code = Array.init (Growarray.length code) (Growarray.get code);
-    entry;
-    app_pc;
-    strs = freeze_strs ();
-    lams = freeze_lams ();
-    tspecs = freeze_tspecs ();
-    cases = freeze_cases ();
-    prims = freeze_prims ();
-  }
+  let n = Growarray.length code in
+  let words = Array.make (off + n) 0 in
+  Array.blit base.code 0 words 0 off;
+  for i = 0 to n - 1 do
+    words.(off + i) <- Growarray.get code i
+  done;
+  ( {
+      code = words;
+      entry;
+      app_pc;
+      strs = freeze_strs ();
+      lams = freeze_lams ();
+      tspecs = freeze_tspecs ();
+      cases = freeze_cases ();
+      prims = freeze_prims ();
+    },
+    binds )
+
+(* One segment per image, so one per resolving context that has
+   compiled a Prelude-closed program. *)
+let segments : segment list ref = ref []
+
+let segment_of image =
+  match List.find_opt (fun sg -> sg.image == image) !segments with
+  | Some sg -> sg
+  | None ->
+      let prog, binds = assemble None (Image image) in
+      let sg = { image; binds; prog } in
+      segments := sg :: !segments;
+      sg
+
+let compile (root : R.rexpr) : program =
+  let link =
+    match root with
+    | R.RLetrec (specs, _) when R.is_prelude_image specs ->
+        Some (segment_of specs)
+    | _ -> None
+  in
+  fst (assemble link (Program root))
 
 let compile_expr ?ctx e = compile (R.expr ?ctx e)
 

@@ -36,7 +36,13 @@ type program
 val compile : Lang.Resolve.rexpr -> program
 (** Compile resolved IR. Compilation is context-free: tags are already
     interned ints, so the resolving context is only needed again at
-    runtime (pass it to {!create} as [rctx]). *)
+    runtime (pass it to {!create} as [rctx]).
+
+    A root letrec over a Prelude image ({!Lang.Resolve.is_prelude_image})
+    is linked: the image's bindings are compiled once into a segment,
+    and the program is a copy of that segment followed by its own body,
+    with fresh case sites. It runs exactly as the in-place compile
+    would, counters included. *)
 
 val compile_expr : ?ctx:Lang.Resolve.context -> Lang.Syntax.expr -> program
 (** Resolve then compile a closed source expression. *)

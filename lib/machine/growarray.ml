@@ -4,7 +4,7 @@ type 'a t = {
   dummy : 'a;
 }
 
-let create ?(capacity = 1024) ~dummy () =
+let create ?(capacity = 256) ~dummy () =
   { data = Array.make (max capacity 1) dummy; len = 0; dummy }
 
 let length t = t.len

@@ -4,6 +4,9 @@
 type 'a t
 
 val create : ?capacity:int -> dummy:'a -> unit -> 'a t
+(** [capacity] defaults to 256 words, small enough that a fresh machine
+    heap starts in the minor heap; it doubles as the array fills. *)
+
 val length : 'a t -> int
 val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit

@@ -109,8 +109,67 @@ let interrupted_resume_agree src =
   | Ok _ -> Alcotest.check deep "resume = uninterrupted" expected (B.deep m a)
   | Error f -> Alcotest.failf "bytecode: resume failed: %a" B.pp_failure f
 
-let suite =
+(* Linking: [Prelude.wrap e] compiles as the context's Prelude segment
+   followed by [e]'s own code, while a copied defs list defeats the
+   image and compiles the whole program in place. Both must run alike,
+   down to every counter — inline-cache hits included, since each
+   linked program gets fresh case sites. *)
+let unlinked e = Syntax.Letrec (List.map Fun.id Prelude.defs, e)
+
+let linked_run prog =
+  let m = B.create ~config prog in
+  let d = B.deep ~depth:24 m (B.entry m) in
+  (d, B.stats m)
+
+let link_agrees e =
+  let linked = B.compile (Resolve.expr (Prelude.wrap e)) in
+  let inplace = B.compile (Resolve.expr (unlinked e)) in
+  let dl, sl = linked_run linked and du, su = linked_run inplace in
+  if B.code_words linked <> B.code_words inplace then
+    QCheck2.Test.fail_reportf "code words %d (linked) vs %d (in place)"
+      (B.code_words linked) (B.code_words inplace);
+  if not (Value.deep_equal dl du) then
+    QCheck2.Test.fail_reportf "linked: %a@.in place: %a" Value.pp_deep dl
+      Value.pp_deep du;
+  if sl <> su then
+    QCheck2.Test.fail_reportf "stats differ:@.linked:   %a@.in place: %a"
+      Stats.pp sl Stats.pp su;
+  true
+
+let link_suite =
   [
+    tc "link: corpus programs run alike linked and in place" (fun () ->
+        let entries, _ = Corpus.load_dir "../fuzz/corpus" in
+        List.iter
+          (fun e -> ignore (link_agrees e.Corpus.expr))
+          (entries @ Corpus.dictionary ()));
+    qtest ~count:100 "link: generated int terms run alike"
+      (Gen.gen_int ()) link_agrees;
+    qtest ~count:60 "link: generated list terms run alike"
+      (Gen.gen_list ()) link_agrees;
+    tc "link: programs on one segment never share case sites" (fun () ->
+        (* [fst] and [snd] are Prelude code: their case sites live in
+           the segment, and only ever see a [Pair]. *)
+        let e = parse_raw "fst (Pair 1 2) + snd (Pair 3 4)" in
+        let compile () = B.compile (Resolve.expr (Prelude.wrap e)) in
+        let p1 = compile () in
+        let d1, first = linked_run p1 in
+        let _, warm = linked_run p1 in
+        Alcotest.(check bool)
+          (Printf.sprintf "a rerun of one program hits warm caches (%d < %d)"
+             warm.Stats.ic_misses first.Stats.ic_misses)
+          true
+          (warm.Stats.ic_misses < first.Stats.ic_misses);
+        let d2, other = linked_run (compile ()) in
+        Alcotest.check deep "same answer" d1 d2;
+        Alcotest.(check int) "a second program starts cold"
+          first.Stats.ic_misses other.Stats.ic_misses;
+        Alcotest.(check bool) "identical counters" true (first = other));
+  ]
+
+let suite =
+  link_suite
+  @ [
     qtest ~count:200 "bytecode agrees with the slot machine (int)"
       (Gen.gen_int ())
       (fun e -> machines_agree (Prelude.wrap e));
