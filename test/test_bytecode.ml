@@ -168,8 +168,7 @@ let link_suite =
   ]
 
 let suite =
-  link_suite
-  @ [
+  [
     qtest ~count:200 "bytecode agrees with the slot machine (int)"
       (Gen.gen_int ())
       (fun e -> machines_agree (Prelude.wrap e));
@@ -373,3 +372,4 @@ let suite =
              misses2 misses1)
           true (misses2 <= misses1));
   ]
+  @ link_suite
