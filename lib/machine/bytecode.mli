@@ -13,16 +13,13 @@
     a monomorphic inline cache for constructor tag dispatch
     ([Stats.ic_hits]/[Stats.ic_misses]; the table walk is the miss path).
 
-    The machine contract is the slot machine's, transition for
-    transition: fuel/heap/stack latches delivered through the ordinary
-    trim-the-stack path (heap latch re-armed only by {!gc}), Section
-    3.3 thunk poisoning, Section 5.1 resumable pause cells under
-    asynchronous unwinding, flight-recorder events and exception
-    provenance on every exceptional path, and explicit
-    {!Lang.Resolve.context} re-entrancy. The admissibility argument is
-    the paper's own: observational equivalence is only demanded modulo
-    exception *sets* (Section 4.3), and the six-way differential fuzzer
-    holds this backend to the same C13 membership bound as the others. *)
+    The machine is {!Machine_core} over the code array, as {!Stg} is over
+    the IR tree: one heap, one unwinding discipline, one collector. Its
+    per-step preamble runs the slot machine's checks in the same order
+    (fuel, stack latch, heap latch, async poll), so the two backends
+    agree transition for transition, counters included. The six-way
+    differential fuzzer holds it to the same C13 membership bound as the
+    others. *)
 
 type addr = int
 
@@ -50,33 +47,31 @@ val compile_expr : ?ctx:Lang.Resolve.context -> Lang.Syntax.expr -> program
 val code_words : program -> int
 (** Length of the frozen code array, in words (static accounting). *)
 
-type mvalue =
+type 'lam value = 'lam Machine_core.value =
   | MInt of int
   | MChar of char
   | MString of string
   | MCon of int * addr array
-      (** Constructor tag interned by {!Lang.Resolve.con_tag}. *)
-  | MClo of int * addr array
-      (** Closure: index into the program's template pool + captures. *)
+  | MClo of 'lam * addr array
+
+type mvalue = int value
+(** A closure's code is an index into the program's template pool. *)
 
 type config = Stg.config
-(** Shared with the slot machine so embedders configure both backends
-    from one record. *)
-
-val default_config : config
 
 type failure = Stg.failure =
   | Fail_exn of Lang.Exn.t
   | Fail_async of Lang.Exn.t
   | Fail_diverged
-      (** Re-exported from {!Stg} so drivers dispatch both backends
-          through one match. *)
 
 val pp_failure : failure Fmt.t
 
-type t
-(** A machine instance: heap + counters + pending asynchronous events,
-    bound to one compiled program. *)
+type bframe
+(** The bytecode machine's control frames. *)
+
+type t = (int, int, bframe, program) Machine_core.machine
+(** A machine instance bound to one compiled program. Every function on
+    {!Machine_core.machine} applies to it. *)
 
 val create :
   ?config:config ->
@@ -92,37 +87,16 @@ val entry : t -> addr
 val stats : t -> Stats.t
 val heap_size : t -> int
 val trace : t -> Obs.t
-val origin_of : t -> Lang.Exn.t -> Obs.origin option
-val pp_exn_with_origin : t -> Lang.Exn.t Fmt.t
-
-val refuel : t -> unit
-val mask_depth : t -> int
-val push_mask : t -> unit
-val pop_mask : t -> unit
-val set_mask_depth : t -> int -> unit
-
 val inject_async : t -> at_step:int -> Lang.Exn.t -> unit
-(** Same delivery contract as {!Stg.inject_async}: fires at the first
-    dispatch at or after [at_step] while a catch mark is active and the
-    mask depth is zero. *)
-
 val clear_async : t -> unit
-
 val force : t -> addr -> (mvalue, failure) result
 val force_catch : t -> addr -> (mvalue, failure) result
 val deep : ?depth:int -> t -> addr -> Semantics.Sem_value.deep
-
 val gc : t -> roots:addr list -> addr list
-(** Copying collection, same contract as {!Stg.gc}: call between runs;
-    pause cells and poisoned thunks survive intact; re-arms the heap
-    latch when the live heap fits under the limit again. *)
-
-val run_expr :
-  ?config:config -> Lang.Syntax.expr -> (mvalue, failure) result * Stats.t
-(** One-shot: resolve, compile, evaluate on a fresh machine. *)
 
 val run_deep :
   ?config:config ->
   ?depth:int ->
   Lang.Syntax.expr ->
   Semantics.Sem_value.deep * Stats.t
+(** One-shot: resolve, compile, evaluate deeply on a fresh machine. *)

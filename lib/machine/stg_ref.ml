@@ -646,8 +646,6 @@ let force_catch m a =
      | Ok _ | Error Fail_diverged -> Obs.record m.trace (Obs.Ev_catch None));
   r
 
-type deep_result = DV of Semantics.Sem_value.deep | DFail of failure
-
 module SV = Semantics.Sem_value
 
 let rec deep ?(depth = 64) m a : SV.deep =

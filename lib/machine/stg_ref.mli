@@ -140,10 +140,6 @@ val force_catch : t -> addr -> (mvalue, failure) result
 (** Evaluate to WHNF under a catch mark — the evaluation part of
     [getException]. [Error (Fail_exn e)] means [e] was caught. *)
 
-type deep_result =
-  | DV of Semantics.Sem_value.deep
-  | DFail of failure
-
 val deep : ?depth:int -> t -> addr -> Semantics.Sem_value.deep
 (** Force the structure rooted at [addr] recursively (catching per-field
     failures as [DBad] singletons, divergence as [DBad All]). *)

@@ -29,6 +29,7 @@
 
 module M = Machine.Stg
 module B = Machine.Bytecode
+module MC = Machine.Machine_core
 module Stats = Machine.Stats
 module R = Lang.Resolve
 module Exn = Lang.Exn
@@ -168,12 +169,11 @@ and request = {
   rdepth : int;
 }
 
-(* A request machine, either backend. [Bytecode.failure] and
-   [Bytecode.config] are re-exported equalities to the slot machine's
-   types, so everything downstream of [force_catch] — quota
-   classification, timeout handling, stats aggregation — is one code
-   path; only the half-dozen accessors below dispatch. *)
-and rmachine = Rm_slot of M.t * M.addr | Rm_bc of B.t * B.addr
+(* A request machine and its root, either backend. Both backends are
+   {!Machine.Machine_core} machines, so everything after creation —
+   slicing, forcing, quota classification, deep printing, stats — is one
+   code path. *)
+and rmachine = Rm : ('b, 'l, 'f, 'p) MC.machine * MC.addr -> rmachine
 
 and session = {
   engine : t;
@@ -215,38 +215,13 @@ let inflight t = List.length t.inflight
 let cache_size t = Hashtbl.length t.cache
 let config t = t.cfg
 
-(* ------------------------------------------------------------------ *)
-(* Backend dispatch                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let rm_stats = function
-  | Rm_slot (m, _) -> M.stats m
-  | Rm_bc (m, _) -> B.stats m
-
-let rm_heap_size = function
-  | Rm_slot (m, _) -> M.heap_size m
-  | Rm_bc (m, _) -> B.heap_size m
-
-let rm_trace = function
-  | Rm_slot (m, _) -> M.trace m
-  | Rm_bc (m, _) -> B.trace m
-
-let rm_inject_async rm ~at_step x =
-  match rm with
-  | Rm_slot (m, _) -> M.inject_async m ~at_step x
-  | Rm_bc (m, _) -> B.inject_async m ~at_step x
-
-let rm_clear_async = function
-  | Rm_slot (m, _) -> M.clear_async m
-  | Rm_bc (m, _) -> B.clear_async m
-
-let rm_force_catch = function
-  | Rm_slot (m, a) -> Result.map ignore (M.force_catch m a)
-  | Rm_bc (m, a) -> Result.map ignore (B.force_catch m a)
-
-let rm_deep ~depth = function
-  | Rm_slot (m, a) -> M.deep ~depth m a
-  | Rm_bc (m, a) -> B.deep ~depth m a
+let rm_stats (Rm (m, _)) = MC.stats m
+let rm_heap_size (Rm (m, _)) = MC.heap_size m
+let rm_trace (Rm (m, _)) = MC.trace m
+let rm_inject_async (Rm (m, _)) ~at_step x = MC.inject_async m ~at_step x
+let rm_clear_async (Rm (m, _)) = MC.clear_async m
+let rm_force_catch (Rm (m, a)) = Result.map ignore (MC.force_catch m a)
+let rm_deep ~depth (Rm (m, a)) = MC.deep ~depth m a
 
 (* ------------------------------------------------------------------ *)
 (* Replies                                                             *)
@@ -577,14 +552,14 @@ let submit t (s : session) (id : string) (o : opts) (src : string) =
                   ~trace:(Obs.create ~on:t.cfg.trace ())
                   ()
               in
-              Rm_slot (m, M.alloc_resolved m entry.rx)
+              Rm (m, M.alloc_resolved m entry.rx)
           | Bytecode ->
               let m =
                 B.create ~config:mcfg
                   ~trace:(Obs.create ~on:t.cfg.trace ())
                   (bytecode_of entry)
               in
-              Rm_bc (m, B.entry m)
+              Rm (m, B.entry m)
         in
         let deadline =
           if o.o_timeout_ms <= 0 then Int64.max_int
