@@ -129,7 +129,15 @@ let invariant_failure m msg =
 
 let refuel m = m.fuel_left <- m.cfg.fuel
 let set_mask_depth m d = m.mask_depth <- max 0 d
-let inject_async m ~at_step e = m.async <- m.async @ [ (at_step, e) ]
+(* Delivery only ever looks at the head of the queue, so the queue is
+   kept in step order; an event joins after those already due at its
+   step. *)
+let inject_async m ~at_step e =
+  let rec insert = function
+    | ((k, _) as ev) :: rest when k <= at_step -> ev :: insert rest
+    | q -> (at_step, e) :: q
+  in
+  m.async <- insert m.async
 let clear_async m = m.async <- []
 
 let alloc_cell m cell =

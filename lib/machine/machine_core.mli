@@ -218,7 +218,9 @@ val inject_async : (_, _, _, _) machine -> at_step:int -> Lang.Exn.t -> unit
 (** Schedule an asynchronous event: it fires at the first step at or after
     [at_step] *while a catch mark is active and the mask depth is zero*
     (events are delivered only to [getException], Section 5.1);
-    otherwise it stays pending. *)
+    otherwise it stays pending. Events fire in step order whatever the
+    order they were injected in; events due at the same step fire in
+    injection order. *)
 
 val clear_async : (_, _, _, _) machine -> unit
 (** Drop every pending asynchronous event. The serve daemon slices

@@ -251,7 +251,11 @@ module Make (E : EVALUATOR) = struct
     let switches = ref 0 in
     let clock = ref 0 in
     let round = ref 0 in
-    let pending = ref async in
+    (* Delivery only looks at the head, so the schedule is put in step
+       order once; events due at the same step keep their order. *)
+    let pending =
+      ref (List.stable_sort (fun (a, _) (b, _) -> compare a b) async)
+    in
     let kills = ref kills in
     let counters = fresh_counters () in
     let mvars : (int, mvar) Hashtbl.t = Hashtbl.create 8 in

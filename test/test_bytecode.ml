@@ -373,3 +373,32 @@ let suite =
           true (misses2 <= misses1));
   ]
   @ link_suite
+  @ [
+      tc "async events fire in step order, not injection order" (fun () ->
+          (* Injected late-first: the earlier event must fire first, at
+             its own step, on both backends. *)
+          let src = parse "sum (enumFromTo 1 3000)" in
+          let schedule = [ (5_000, E.Timeout); (10, E.Interrupt) ] in
+          let verdict name r steps =
+            match r with
+            | Error (B.Fail_async E.Interrupt) when steps < 5_000 -> None
+            | Error f ->
+                Some (Fmt.str "%s: %a at step %d" name B.pp_failure f steps)
+            | Ok _ -> Some (name ^ ": nothing delivered")
+          in
+          let bc =
+            let m, a = bc_machine src in
+            List.iter (fun (k, x) -> B.inject_async m ~at_step:k x) schedule;
+            let r = B.force_catch m a in
+            verdict "bytecode" r (B.stats m).Stats.steps
+          in
+          let slot =
+            let m = M.create ~config () in
+            List.iter (fun (k, x) -> M.inject_async m ~at_step:k x) schedule;
+            let r = M.force_catch m (M.alloc m src) in
+            verdict "slot" r (M.stats m).Stats.steps
+          in
+          match List.filter_map Fun.id [ bc; slot ] with
+          | [] -> ()
+          | errs -> Alcotest.fail (String.concat "; " errs));
+    ]

@@ -243,4 +243,15 @@ let suite =
                r.Io.trace)
         in
         Alcotest.(check int) "three reads" 3 reads);
+    tc "async events fire in step order, not injection order" (fun () ->
+        (* The schedule is given late-first: the event due now must be
+           the one delivered at the getException. *)
+        let r =
+          Io.run
+            ~async:[ (5_000, E.Timeout); (0, E.Interrupt) ]
+            (parse "getException (sum (enumFromTo 1 500)) >>= \\v -> return v")
+        in
+        check_outcome "first due"
+          (Io.Done (Value.DCon ("Bad", [ Value.DCon ("Interrupt", []) ])))
+          r);
   ]
