@@ -471,8 +471,7 @@ type guard = Go | Trip of string * Exn.t | Async of Exn.t
    transition still runs the same preamble as the slot machine (fuel,
    stack latch, heap latch, async poll, in that order), so the two
    backends hit their latches and deliver asynchronous exceptions under
-   identical rules. [catch] marks the bottom of this run's stack as a
-   getException catch mark, exactly as in the slot machine. *)
+   identical rules. *)
 let run (m : t) ~(catch : bool) (code0 : (int, int) code) :
     (mvalue, failure) result =
   let prog = m.prog in
@@ -856,10 +855,8 @@ let ops =
         | BF_case (ci, env) -> BF_case (ci, copy_env env)
         | BF_prim (si, vals, i, env) ->
             BF_prim (si, Array.map copy_value vals, i, copy_env env)
-        | BF_raise _ as f -> f
         | BF_mapexn a -> BF_mapexn (copy a)
-        | BF_isexn -> BF_isexn
-        | BF_catch -> BF_catch);
+        | (BF_raise _ | BF_isexn | BF_catch) as f -> f);
   }
 
 let create = create ops

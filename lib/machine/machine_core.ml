@@ -1,7 +1,5 @@
-(* What the slot machine ({!Stg}) and the bytecode machine ({!Bytecode})
-   share: the paper's abstract machine minus its code form. Both backends
-   [include] this module and add their code, their control frames and
-   their dispatch loop; see machine_core.mli for the split. *)
+(* The machine core that {!Stg} and {!Bytecode} [include]; the split is
+   documented in machine_core.mli. *)
 
 module Exn = Lang.Exn
 module R = Lang.Resolve

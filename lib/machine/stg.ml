@@ -419,10 +419,8 @@ let ops =
         | F_case (alts, env) -> F_case (alts, copy_env env)
         | F_prim (p, done_, rest, env) ->
             F_prim (p, List.map copy_value done_, rest, copy_env env)
-        | F_raise _ as f -> f
         | F_mapexn a -> F_mapexn (copy a)
-        | F_isexn -> F_isexn
-        | F_unsafe_catch -> F_unsafe_catch);
+        | (F_raise _ | F_isexn | F_unsafe_catch) as f -> f);
   }
 
 let create = create ops

@@ -101,7 +101,7 @@ val run_deep : ?config:config -> ?depth:int -> Lang.Syntax.expr ->
     appears as [DBad]. *)
 
 val gc : t -> roots:addr list -> addr list
-val exn_to_mvalue : t -> Lang.Exn.t -> mvalue
+val bad_value : t -> Lang.Exn.t -> mvalue
 
 type to_exn_error = Machine_core.to_exn_error = Not_exn | Exn_err of Lang.Exn.t
 

@@ -96,7 +96,7 @@ module Eval = struct
     con m (ref_tag kind) [| Stg.alloc_value m (Stg.MInt n) |]
 
   let ok m v = con m R.t_ok [| v |]
-  let bad m x = con m R.t_bad [| Stg.alloc_value m (Stg.exn_to_mvalue m x) |]
+  let bad m x = Stg.alloc_value m (Stg.bad_value m x)
   let just m v = con m R.t_just [| v |]
   let nothing m = con m R.t_nothing [||]
   let deep m a = Stg.deep m a
