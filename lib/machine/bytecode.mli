@@ -74,11 +74,7 @@ type t = (int, int, bframe, program) Machine_core.machine
     {!Machine_core.machine} applies to it. *)
 
 val create :
-  ?config:config ->
-  ?trace:Obs.t ->
-  ?rctx:Lang.Resolve.context ->
-  program ->
-  t
+  ?config:config -> ?trace:Obs.t -> ?rctx:Lang.Resolve.context -> program -> t
 
 val entry : t -> addr
 (** Allocate the program's entry point as a fresh thunk (each call is an

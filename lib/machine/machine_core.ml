@@ -127,15 +127,16 @@ let invariant_failure m msg =
 
 let refuel m = m.fuel_left <- m.cfg.fuel
 let set_mask_depth m d = m.mask_depth <- max 0 d
-(* Delivery only ever looks at the head of the queue, so the queue is
-   kept in step order; an event joins after those already due at its
-   step. *)
+
+(* Delivery only looks at the queue's head, so the queue is kept in step
+   order; an event joins after those already due at its step. *)
 let inject_async m ~at_step e =
   let rec insert = function
     | ((k, _) as ev) :: rest when k <= at_step -> ev :: insert rest
     | q -> (at_step, e) :: q
   in
   m.async <- insert m.async
+
 let clear_async m = m.async <- []
 
 let alloc_cell m cell =
@@ -312,8 +313,8 @@ let gc m ~roots =
     | Cell_blackhole -> Cell_blackhole
     | Cell_raise _ as c -> c
     | Cell_paused (code, frames) ->
-        Cell_paused
-          (copy_code code, List.map (m.ops.relocate copy copy_env copy_value) frames)
+        let copy_frame = m.ops.relocate copy copy_env copy_value in
+        Cell_paused (copy_code code, List.map copy_frame frames)
     | Cell_unused -> Cell_unused
   in
   let roots' = List.map copy roots in

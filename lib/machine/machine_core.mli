@@ -288,7 +288,8 @@ val force_catch : ('b, 'l, 'f, 'p) machine -> addr -> ('l value, failure) result
 (** Evaluate to WHNF under a catch mark — the evaluation part of
     [getException]. [Error (Fail_exn e)] means [e] was caught. *)
 
-val deep : ?depth:int -> (_, _, _, _) machine -> addr -> Semantics.Sem_value.deep
+val deep :
+  ?depth:int -> (_, _, _, _) machine -> addr -> Semantics.Sem_value.deep
 (** Force the structure rooted at [addr] recursively (catching per-field
     failures as [DBad] singletons, divergence as [DBad All]). *)
 
